@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SkipExample
+from .errors import ArgumentError, SkipExample
 
 
 @dataclass
@@ -18,9 +18,9 @@ class AugmentConfig:
 
     def __post_init__(self):
         if self.gain_db_range[0] > self.gain_db_range[1]:
-            raise ValueError("gain range is reversed")
+            raise ArgumentError("gain range is reversed")
         if self.snr_db_range[0] > self.snr_db_range[1]:
-            raise ValueError("snr range is reversed")
+            raise ArgumentError("snr range is reversed")
 
 
 def noise_gamma(p_sig: float, p_noise: float, snr_db: float) -> float:

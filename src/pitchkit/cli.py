@@ -162,6 +162,8 @@ def cmd_eval(args) -> int:
     truth = read_contour_csv(args.truth)
     pred_path = Path(args.pred)
     if pred_path.suffix.lower() == ".wav":
+        if args.weights is None:
+            raise ArgumentError("evaluating a WAV needs --weights")
         params = net.load_params(args.weights)
         buf = read_wav(pred_path)
         if args.noisy:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import PitchContour
+from .errors import ArgumentError
 from .grid import PitchGrid
 from .losses import softmax_rows
 
@@ -20,9 +21,9 @@ class DecoderConfig:
 
     def __post_init__(self):
         if self.half_width < 1:
-            raise ValueError("half_width must be >= 1")
+            raise ArgumentError("half_width must be >= 1")
         if not 0.0 <= self.voicing_threshold <= 1.0:
-            raise ValueError("voicing_threshold must be in [0, 1]")
+            raise ArgumentError("voicing_threshold must be in [0, 1]")
 
 
 def decode_probs(probs: np.ndarray, grid: PitchGrid, cfg: DecoderConfig):

@@ -13,7 +13,8 @@ import numpy as np
 
 from .audio_io import AudioBuffer, PitchContour
 from .augment import mix_at_snr
-from .errors import AlignmentError, SkipExample, UndefinedMetric
+from .errors import (AlignmentError, ArgumentError, SkipExample,
+                     UndefinedMetric)
 from .grid import cents_error
 
 
@@ -139,7 +140,7 @@ def harmonic_mean(components) -> float:
     """6 / sum(1/c); a zero component pins the result to 0 (limit)."""
     comps = list(components)
     if len(comps) != 6:
-        raise ValueError("harmonic mean takes exactly six components")
+        raise ArgumentError("harmonic mean takes exactly six components")
     if any(c == 0.0 for c in comps):
         return 0.0
     return float(len(comps) / sum(1.0 / c for c in comps))
@@ -174,7 +175,9 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
 
     estimator: AudioBuffer -> PitchContour. corpus: iterable of
     (AudioBuffer, truth PitchContour). noise_signals: optional list of
-    arrays; Gaussian noise is used when empty.
+    arrays; Gaussian noise is used when empty. A file is skipped when it is
+    silent or when its metrics are undefined (e.g. no frame predicted
+    voiced); UndefinedMetric is raised only when every file was skipped.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -191,5 +194,8 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
             continue
         pred = estimator(AudioBuffer(np.clip(mixed, -1.0, 1.0),
                                      buf.sample_rate_hz))
-        reports.append(evaluate(pred, truth))
+        try:
+            reports.append(evaluate(pred, truth))
+        except UndefinedMetric:
+            continue
     return average_reports(reports)

@@ -3,7 +3,14 @@
 Five 5x5 conv layers (channels 1->8->16->32->64->1), each with batch norm
 and ReLU, followed by a per-frame dense projection from the 132 band bins
 onto 200 pitch bins. Forward and backward passes are written by hand on
-numpy; convolutions run as im2col + BLAS matmul.
+numpy; each convolution is 25 shifted-tap BLAS matmuls over the zero-padded
+input, with no im2col patch matrix.
+
+Eval mode folds each batch norm into its conv kernel and bias, so a layer is
+conv -> ReLU. `forward` runs a long spectrogram in blocks of CHUNK frames,
+each widened by HALO frames of context on both sides; HALO is the
+receptive-field half-width, so the kept frames are exactly those of one
+whole-sequence call while the working set stays bounded by the block size.
 """
 from __future__ import annotations
 
@@ -22,6 +29,10 @@ N_BANDS = 132
 N_PITCH_BINS = 200
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# eval-mode block length in frames, and the context each block needs on
+# either side: every layer widens the receptive field by PAD frames
+CHUNK = 256
+HALO = (len(CHANNEL_PLAN) - 1) * PAD
 
 
 @dataclass
@@ -175,21 +186,33 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False,
     """Run the network on a (B, T, 132) batch of spectrogram segments.
 
     Returns (logits (B, T, 200), cache). Eval mode uses running batch-norm
-    statistics and never mutates params.
+    statistics, folded into the conv kernels, and never mutates params; its
+    cache holds only the final feature map "feat".
     """
     x = np.asarray(x, dtype=p.dtype)
     if x.ndim != 3 or x.shape[2] != N_BANDS:
         raise ShapeError(f"expected (B, T, {N_BANDS}), got {x.shape}")
     h = x[..., None]  # (B, T, F, 1)
-    cache = {"train": train, "layers": []}
-    for i in range(len(p.conv_w)):
-        layer_in = h
-        z = _conv_forward(h, p.conv_w[i], p.conv_b[i])
-        y, (x_hat, inv_std) = _bn_forward(
-            z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i],
-            train, update_running)
-        h = np.maximum(y, 0.0)
-        cache["layers"].append((layer_in, x_hat, inv_std, y > 0.0))
+    if train:
+        cache = {"train": train, "layers": []}
+        for i in range(len(p.conv_w)):
+            layer_in = h
+            z = _conv_forward(h, p.conv_w[i], p.conv_b[i])
+            y, (x_hat, inv_std) = _bn_forward(
+                z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i],
+                train, update_running)
+            h = np.maximum(y, 0.0)
+            cache["layers"].append((layer_in, x_hat, inv_std, y > 0.0))
+    else:
+        cache = {"train": False}
+        for i in range(len(p.conv_w)):
+            # batch norm with running statistics is affine: fold it into
+            # the conv so a layer is conv -> ReLU
+            scale = p.bn_gamma[i] / np.sqrt(p.bn_var[i] + BN_EPS)
+            w = p.conv_w[i] * scale[:, None, None, None]
+            bias = (p.conv_b[i] - p.bn_mean[i]) * scale + p.bn_beta[i]
+            h = _conv_forward(h, w, bias)
+            np.maximum(h, 0.0, out=h)
     feat = h[..., 0]  # (B, T, F)
     logits = feat @ p.proj_w.T + p.proj_b
     cache["feat"] = feat
@@ -226,12 +249,28 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
 
 
 def forward(p: ModelParams, spec: Spectrogram | np.ndarray, mode: str = "eval"):
-    """Single-spectrogram entry point: (T, 132) -> (logits (T, 200), cache)."""
+    """Single-spectrogram entry point: (T, 132) -> (logits (T, 200), cache).
+
+    Eval mode runs the spectrogram in blocks of CHUNK frames (one call when
+    it is no longer); the result equals one whole-sequence eval
+    `forward_batch` bit for bit.
+    """
     values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec)
     if values.ndim != 2 or values.shape[1] != N_BANDS:
         raise ShapeError(f"expected (T, {N_BANDS}), got {values.shape}")
-    logits, cache = forward_batch(p, values[None], train=(mode == "train"))
-    return logits[0], cache
+    if mode == "train":
+        logits, cache = forward_batch(p, values[None], train=True)
+        return logits[0], cache
+    t = len(values)
+    logits = np.empty((t, N_PITCH_BINS), dtype=p.dtype)
+    feat = np.empty((1, t, N_BANDS), dtype=p.dtype)
+    for lo in range(0, t, CHUNK):
+        hi = min(lo + CHUNK, t)
+        a, b = max(lo - HALO, 0), min(hi + HALO, t)
+        block, cache = forward_batch(p, values[None, a:b])
+        logits[lo:hi] = block[0, lo - a:hi - a]
+        feat[0, lo:hi] = cache["feat"][0, lo - a:hi - a]
+    return logits, {"train": False, "feat": feat}
 
 
 # ---------------------------------------------------------------------------

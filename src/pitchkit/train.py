@@ -105,7 +105,8 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
     """Train on (AudioBuffer, PitchContour) pairs.
 
     Returns (params, history) where history is a list of per-epoch dicts
-    with keys epoch/loss/ce/cents.
+    with keys epoch/loss/ce/cents. Raises ArgumentError when an epoch skips
+    every example, so it would take no step.
     """
     corpus = list(corpus)
     if not corpus:
@@ -124,6 +125,7 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(corpus))
         losses, ces, cents_l = [], [], []
+        skipped = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             segs, f0s, masks = [], [], []
@@ -133,6 +135,7 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
                     seg, f0, mask = extract_segment(buf, truth, rng, stft_cfg)
                     seg = augment(seg, aug_cfg, rng)
                 except SkipExample:
+                    skipped += 1
                     continue
                 segs.append(seg)
                 f0s.append(f0)
@@ -158,6 +161,10 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
             losses.append(total)
             ces.append(ce)
             cents_l.append(cents)
+        if not losses:
+            raise ArgumentError(
+                f"epoch {epoch} made no step: all {skipped} examples skipped "
+                f"(shorter than {SEGMENT_SECONDS} s, unvoiced or silent)")
         entry = {"epoch": epoch, "loss": float(np.mean(losses)),
                  "ce": float(np.mean(ces)), "cents": float(np.mean(cents_l))}
         history.append(entry)

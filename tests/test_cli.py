@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pitchkit import model as net
-from pitchkit.audio_io import read_contour_csv, read_wav, write_wav
+from pitchkit.audio_io import (read_contour_csv, read_wav,
+                               write_contour_csv, write_wav)
 from pitchkit.cli import main
 from pitchkit.synth import SynthSpec, synth_example
 
@@ -15,7 +16,6 @@ def workdir(tmp_path_factory):
     buf, truth = synth_example(SynthSpec(kind="constant", f0_hz=220.0,
                                          n_harmonics=4, duration_s=1.0))
     write_wav(buf, d / "tone.wav", dtype="float32")
-    from pitchkit.audio_io import write_contour_csv
     write_contour_csv(truth, d / "tone.csv")
     weights = d / "w.bin"
     net.save_params(net.init_params(0), weights)
@@ -93,6 +93,25 @@ def test_train_config_file_overrides(workdir):
     assert len(loss_csv) == 2
 
 
+def test_train_short_corpus_fails_without_weights(workdir, capsys):
+    d = workdir / "short_corpus"
+    d.mkdir()
+    lines = []
+    for i, f0 in enumerate((150.0, 300.0, 600.0)):
+        buf, truth = synth_example(SynthSpec(kind="constant", f0_hz=f0,
+                                             n_harmonics=4, duration_s=0.3))
+        write_wav(buf, d / f"s{i}.wav", dtype="float32")
+        write_contour_csv(truth, d / f"s{i}.csv")
+        lines.append(f"{d / f's{i}.wav'},{d / f's{i}.csv'}")
+    (d / "manifest.txt").write_text("\n".join(lines) + "\n")
+    out = d / "short.bin"
+    rc = main(["train", str(d / "manifest.txt"), str(out),
+               "--epochs", "1", "--batch", "4"])
+    assert rc != 0
+    assert not out.exists()
+    assert "3 examples skipped" in capsys.readouterr().err
+
+
 def test_eval_contour_vs_itself(workdir, capsys):
     rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")])
     assert rc == 0
@@ -132,6 +151,19 @@ def test_eval_untrained_voicing_undefined(workdir):
     rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
                "--weights", str(workdir / "w.bin")])
     assert rc == 1
+
+
+def test_eval_wav_without_weights(workdir, capsys):
+    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv")])
+    assert rc != 0
+    assert "needs --weights" in capsys.readouterr().err
+
+
+def test_analyze_bad_window_is_argument_error(workdir, capsys):
+    rc = main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+               str(workdir / "x.csv"), "--window", "0"])
+    assert rc == 1
+    assert "half_width" in capsys.readouterr().err
 
 
 def test_bench_reports_rtf(workdir, capsys):

@@ -296,3 +296,23 @@ def test_evaluate_noisy_high_snr_reproduces_clean():
 
     evaluate_noisy(est, [(buf, truth)], snr_db=300.0, seed=1)
     np.testing.assert_allclose(captured["samples"], buf.samples, atol=1e-9)
+
+
+def test_evaluate_noisy_skips_all_unvoiced_file():
+    rng = np.random.default_rng(7)
+    truths = [contour(np.full(n, 220.0)) for n in (59, 61, 63)]
+    corpus = [(AudioBuffer(rng.uniform(-0.5, 0.5, 256 * (n - 1) + 1024),
+                           16000), t) for n, t in zip((59, 61, 63), truths)]
+    silent = {61}
+
+    def est(buf):
+        truth = next(t for b, t in corpus if len(b.samples) == len(buf.samples))
+        if len(truth) in silent:
+            return contour(truth.f0_hz, voiced=np.zeros(len(truth), bool))
+        return truth
+
+    report = evaluate_noisy(est, corpus, snr_db=10.0, seed=2)
+    assert report.as_dict() == evaluate(truths[0], truths[0]).as_dict()
+    silent.update({59, 63})
+    with pytest.raises(UndefinedMetric):
+        evaluate_noisy(est, corpus, snr_db=10.0, seed=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,70 @@ def test_receptive_field_21x21():
     touched_t, touched_f = np.nonzero(diff > 1e-12)
     assert np.abs(touched_t - t0).max() <= 10
     assert np.abs(touched_f - f0).max() <= 10
+
+
+def random_bn_params(seed, dtype):
+    """init_params with non-trivial conv biases and batch-norm statistics."""
+    rng = np.random.default_rng(seed)
+    p = net.init_params(seed, dtype=dtype)
+    for i in range(len(p.conv_w)):
+        c = p.conv_b[i].shape
+        p.conv_b[i][:] = rng.normal(0.0, 0.3, c)
+        p.bn_gamma[i][:] = rng.uniform(0.5, 1.5, c)
+        p.bn_beta[i][:] = rng.normal(0.0, 0.3, c)
+        p.bn_mean[i][:] = rng.normal(0.0, 0.3, c)
+        p.bn_var[i][:] = rng.uniform(0.5, 2.0, c)
+    return p
+
+
+def test_halo_is_receptive_field():
+    assert net.HALO == (len(net.CHANNEL_PLAN) - 1) * net.PAD == 10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_forward_matches_whole_sequence(dtype):
+    p = random_bn_params(17, dtype)
+    rng = np.random.default_rng(4)
+    c, h = net.CHUNK, net.HALO
+    for t in (1, c - 1, c, c + 1, c + h, 2 * c + 1, 3747):
+        x = rng.standard_normal((t, 132))
+        logits, cache = net.forward(p, x, mode="eval")
+        whole, whole_cache = net.forward_batch(p, x[None], train=False)
+        assert np.array_equal(logits, whole[0]), t
+        assert np.array_equal(cache["feat"], whole_cache["feat"]), t
+
+
+def test_folded_eval_matches_unfolded_batch_norm():
+    p = random_bn_params(19, np.float64)
+    x = np.random.default_rng(5).standard_normal((2, 40, 132))
+    h = x[..., None]
+    for i in range(len(p.conv_w)):
+        z = net._conv_forward(h, p.conv_w[i], p.conv_b[i])
+        y, _ = net._bn_forward(z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i],
+                               p.bn_var[i], train=False,
+                               update_running=False)
+        h = np.maximum(y, 0.0)
+    expected = h[..., 0] @ p.proj_w.T + p.proj_b
+    logits, cache = net.forward_batch(p, x, train=False)
+    np.testing.assert_allclose(logits, expected, rtol=1e-10)
+    assert set(cache) == {"train", "feat"}
+
+
+def _forward_peak_bytes(p, frames):
+    x = np.random.default_rng(6).standard_normal((frames, 132))
+    tracemalloc.start()
+    try:
+        net.forward(p, x, mode="eval")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_forward_memory_bounded():
+    # 60 s of audio at 16 kHz is 3747 frames; the working set must not grow
+    # with length beyond the logits and features it returns
+    p = net.init_params(0)
+    assert _forward_peak_bytes(p, 3747) <= 2 * _forward_peak_bytes(p, net.CHUNK)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -130,3 +130,12 @@ def test_history_fields():
     assert len(hist) == 2
     assert seen == hist
     assert set(hist[0]) == {"epoch", "loss", "ce", "cents"}
+
+
+def test_epoch_without_step_fails():
+    # every clip is shorter than one 0.5 s training segment
+    corpus = [synth_example(SynthSpec(kind="constant", f0_hz=f0,
+                                      n_harmonics=4, duration_s=0.3))
+              for f0 in (150.0, 300.0, 600.0)]
+    with pytest.raises(ArgumentError, match="epoch 0 .*3 examples"):
+        train_loop(corpus, TrainConfig(epochs=1, batch_size=4))
