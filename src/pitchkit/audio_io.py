@@ -102,13 +102,16 @@ def read_wav(path) -> AudioBuffer:
     if channels != 1:
         raise UnsupportedError(f"{path}: {channels} channels; only mono is supported")
     if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        dtype, scale = "<i2", 32768.0
     elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise UnsupportedError(
             f"{path}: format={audio_format} bits={bits}; need PCM16 or float32")
+    if len(payload) % (bits // 8):
+        raise FormatError(f"{path}: data chunk of {len(payload)} bytes is not "
+                          f"a whole number of {bits}-bit samples")
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) / scale
     if not np.all(np.isfinite(samples)):
         raise FormatError(f"{path}: non-finite sample values")
     return AudioBuffer(samples=samples, sample_rate_hz=int(sample_rate))
@@ -151,6 +154,9 @@ def resample_linear(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
 
 
 _CSV_HEADER = ["time_sec", "f0_hz", "confidence", "voiced"]
+# times are written with 1e-6 s resolution, so a step between two rounded
+# times can be off the true hop by up to 1e-6 s; allow twice that
+HOP_TOLERANCE_S = 2e-6
 
 
 def write_contour_csv(contour: PitchContour, path) -> None:
@@ -169,24 +175,42 @@ def write_contour_csv(contour: PitchContour, path) -> None:
 
 
 def read_contour_csv(path) -> PitchContour:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """Read a contour CSV; the hop is the step between the first two times.
+
+    Every later step must match that hop within HOP_TOLERANCE_S.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a contour CSV: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    header = rows[0]
+    if header != _CSV_HEADER:
+        raise FormatError(f"{path}: expected header {_CSV_HEADER}, got {header}")
+    times, f0s, confs, voiced = [], [], [], []
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != 4:
+            raise FormatError(f"{path}: malformed row {row}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if header != _CSV_HEADER:
-            raise FormatError(f"{path}: expected header {_CSV_HEADER}, got {header}")
-        times, f0s, confs, voiced = [], [], [], []
-        for row in reader:
-            if len(row) != 4:
-                raise FormatError(f"{path}: malformed row {row}")
             times.append(float(row[0]))
             f0s.append(float("nan") if row[1] == "" else float(row[1]))
             confs.append(float(row[2]))
             voiced.append(bool(int(row[3])))
+        except ValueError:
+            raise FormatError(
+                f"{path}: non-numeric field in row {i}: {row}") from None
+    if not np.all(np.isfinite(times)):
+        raise FormatError(f"{path}: non-finite time")
     if len(times) >= 2:
         hop = times[1] - times[0]
+        steps = np.diff(times)
+        bad = np.flatnonzero(np.abs(steps - hop) > HOP_TOLERANCE_S)
+        if len(bad):
+            raise FormatError(
+                f"{path}: time {times[bad[0] + 1]:.6f} in row {bad[0] + 3} "
+                f"is off the {hop:.6f} s hop grid")
     else:
         hop = HOP_SECONDS
     return PitchContour(hop_seconds=hop, f0_hz=np.array(f0s),

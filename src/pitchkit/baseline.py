@@ -50,6 +50,5 @@ def acf_contour(buf: AudioBuffer, stft_cfg: StftConfig | None = None,
         f0[m] = sr / lag
         conf[m] = max(min(peak, 1.0), 0.0)
     voiced = conf >= voicing_threshold
-    f0[np.isnan(f0)] = np.nan
     return PitchContour(hop_seconds=cfg.hop_seconds, f0_hz=f0,
                         confidence=conf, voiced=voiced)

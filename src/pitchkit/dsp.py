@@ -1,12 +1,19 @@
 """Spectral front-end: Hann STFT, pitch-band selection, log compression.
 
-The FFT is a hand-rolled iterative radix-2 transform using the real-input
-packing trick (N real samples -> N/2 complex FFT -> untwiddle), vectorized
-over frames. A naive O(N^2) DFT lives in the test suite as the oracle.
+The FFT packs N real samples into m = N/2 complex points, transforms them
+with a four-step (Bailey) FFT and untwiddles the result into the real
+spectrum. The four-step FFT views the m points as an m1 x m2 matrix
+(m1 = 2^floor(log2(m)/2)): one batched GEMM applies the m1-point DFT matrix
+down its columns, then each row is multiplied by its twiddles and by the
+m2-point DFT matrix. The twiddles are folded into m1 copies of the m2-point
+matrix, so the whole transform is two BLAS calls over all frames at once.
+The matrices are built once per N. A naive O(N^2) DFT lives in the test
+suite as the oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,47 +76,60 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+def _dft_matrix(n: int) -> np.ndarray:
+    """F[j, k] = exp(-2*pi*i*jk/n), with jk reduced mod n for accuracy."""
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
+
+
+@lru_cache(maxsize=None)
+def _fft_plan(n: int):
+    """Read-only matrices of the four-step FFT of length N = n."""
+    m = n // 2
+    m1 = 1 << ((m.bit_length() - 1) // 2)
+    m2 = m // m1
+    # twiddle exp(-2*pi*i*k1*n2/m) scales row n2 of the k1-th m2-point matrix
+    k1n2 = np.outer(np.arange(m1), np.arange(m2))
+    twiddle = np.exp(-2j * np.pi * k1n2 / m)
+    f2 = twiddle[:, :, None] * _dft_matrix(m2)          # (m1, m2, m2)
+    # untwiddle X[k] = a[k] Z[k] + b[k] conj(Z[m-k]), k = 0..m
+    w = np.exp(-2j * np.pi * np.arange(m + 1) / n)
+    a, b = 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
+    plan = (m1, m2, _dft_matrix(m1), f2, a, b)
+    for arr in plan[2:]:
+        arr.flags.writeable = False
+    return plan
 
 
 def rfft_radix2(frames: np.ndarray) -> np.ndarray:
     """Real-input FFT of each row; returns bins 0..N/2 (complex).
 
-    Rows are packed into N/2 complex points, transformed with an iterative
-    radix-2 butterfly, then untwiddled back to the real spectrum.
+    N must be a power of two. Rows are packed into m = N/2 complex points
+    z[j] = x[2j] + i x[2j+1], transformed with the four-step FFT, then
+    untwiddled back to the real spectrum.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
     n = frames.shape[-1]
     if n < 2 or n & (n - 1):
         raise ArgumentError("FFT length must be a power of two")
     m = n // 2
-    z = frames[..., 0::2] + 1j * frames[..., 1::2]  # (R, m)
-
-    a = z[..., _bit_reverse_indices(m)]
-    size = 2
-    while size <= m:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        a = a.reshape(a.shape[:-1] + (m // size, size))
-        even = a[..., :half].copy()
-        odd = a[..., half:] * tw
-        a[..., :half] = even + odd
-        a[..., half:] = even - odd
-        a = a.reshape(a.shape[:-2] + (m,))
-        size *= 2
-
-    # Untwiddle: split the packed transform into the even/odd real spectra.
-    zk = np.concatenate([a, a[..., :1]], axis=-1)          # Z[0..m]
-    zrev = np.conj(zk[..., ::-1])                          # conj(Z[m-k])
-    tw = np.exp(-2j * np.pi * np.arange(m + 1) / n)
-    return 0.5 * (zk + zrev) - 0.5j * tw * (zk - zrev)
+    m1, m2, f1, f2, a, b = _fft_plan(n)
+    lead = frames.shape[:-1]
+    rows = int(np.prod(lead))
+    # z[r, n1, n2] is packed point m2*n1 + n2 of row r
+    z = frames.view(np.complex128).reshape(rows, m1, m2)
+    cols = np.matmul(f1, z)                          # [r, k1, n2]
+    spec = np.matmul(cols.transpose(1, 0, 2), f2)    # [k1, r, k2], twiddled
+    # Z[k1 + m1*k2] = spec[k1, r, k2]; splitting the last axis of out is a
+    # view, so this writes the packed transform in natural order
+    out = np.empty((rows, m + 1), dtype=np.complex128)
+    out[:, :m].reshape(rows, m2, m1)[...] = spec.transpose(1, 2, 0)
+    out[:, m] = out[:, 0]                            # Z[m] = Z[0]
+    rev = np.conj(out[:, ::-1])                      # conj(Z[m-k])
+    out *= a
+    rev *= b
+    out += rev
+    return out.reshape(lead + (m + 1,))
 
 
 def stft_magnitude(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:

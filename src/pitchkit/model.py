@@ -3,8 +3,17 @@
 Five 5x5 conv layers (channels 1->8->16->32->64->1), each with batch norm
 and ReLU, followed by a per-frame dense projection from the 132 band bins
 onto 200 pitch bins. Forward and backward passes are written by hand on
-numpy; each convolution is 25 shifted-tap BLAS matmuls over the zero-padded
-input, with no im2col patch matrix.
+numpy. Each convolution picks its kernel from the kernel shape, so that
+every layer runs as a few large BLAS calls:
+
+- layer 0 (c_in = 1) is one im2col GEMM of the (8, 25) kernel with the
+  5x5 patch matrix; as 25 shifted taps each matmul would have one input
+  channel and run far below BLAS speed;
+- layer 4 (c_out = 1) is one GEMM from the padded input to 25 tap maps,
+  (25, c_in) @ input^T, followed by 25 shifted adds; as shifted taps each
+  matmul would have one output channel;
+- layers 1-3 are 25 shifted-tap matmuls over the zero-padded input, which
+  already have enough channels on both sides and need no patch matrix.
 
 Eval mode folds each batch norm into its conv kernel and bias, so a layer is
 conv -> ReLU. `forward` runs a long spectrogram in blocks of CHUNK frames,
@@ -14,10 +23,12 @@ whole-sequence call while the working set stays bounded by the block size.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import Spectrogram
 from .errors import FormatError, ShapeError, StateError
@@ -107,12 +118,48 @@ def _pad_spatial(x: np.ndarray) -> np.ndarray:
 
 
 def _conv_forward(x, w, bias):
-    """Same-padded 5x5 conv as 25 shifted batched matmuls.
+    """Same-padded 5x5 conv, with the kernel chosen from the shape of w.
 
-    Avoids materializing an im2col patch matrix; each tap is one BLAS
-    call over the shifted zero-padded input. Accumulation order is fixed,
-    so results are bit-reproducible.
+    Each kernel accumulates in a fixed order, so results are
+    bit-reproducible.
     """
+    c_out, c_in = w.shape[:2]
+    if c_in == 1:
+        return _conv_im2col(x, w, bias)
+    if c_out == 1:
+        return _conv_tap_maps(x, w, bias)
+    return _conv_shifted_taps(x, w, bias)
+
+
+def _conv_im2col(x, w, bias):
+    """One GEMM of the (c_out, 25) kernel with the 5x5 patch matrix."""
+    b, t, f, _ = x.shape
+    patches = sliding_window_view(_pad_spatial(x)[..., 0], (KERNEL, KERNEL),
+                                  axis=(1, 2))        # (b, t, f, 5, 5)
+    # kernel on the left: with the (positions, 25) patches on the left,
+    # peak RSS over inputs of varying length grew by about 20 MB
+    out = (w.reshape(len(w), -1) @ patches.reshape(-1, KERNEL * KERNEL).T).T
+    out += bias
+    return out.reshape(b, t, f, len(w))
+
+
+def _conv_tap_maps(x, w, bias):
+    """One GEMM to the 25 tap maps of a single output channel, then shifted
+    adds: out[t, f] = bias + sum_ij maps[i, j, t + i, f + j]."""
+    b, t, f, c_in = x.shape
+    xp = _pad_spatial(x)
+    maps = w[0].reshape(c_in, KERNEL * KERNEL).T @ xp.reshape(-1, c_in).T
+    maps = maps.reshape((KERNEL, KERNEL) + xp.shape[:3])
+    out = np.broadcast_to(bias, (b, t, f, 1)).copy()
+    acc = out[..., 0]
+    for i in range(KERNEL):
+        for j in range(KERNEL):
+            acc += maps[i, j, :, i:i + t, j:j + f]
+    return out
+
+
+def _conv_shifted_taps(x, w, bias):
+    """25 shifted batched matmuls over the zero-padded input, one per tap."""
     b, t, f, _ = x.shape
     xp = _pad_spatial(x)
     wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (5, 5, c_in, c_out)
@@ -317,10 +364,13 @@ def load_params(path, dtype=np.float32) -> ModelParams:
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from None
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        n_vals = int(np.prod(shape)) if rank else 1
+        n_vals = math.prod(shape)  # exact, so a huge shape reads as truncated
         vals = np.frombuffer(take(4 * n_vals), dtype="<f4").reshape(shape)
         tensors[name] = vals.astype(dtype)
     if pos != len(data):

@@ -89,14 +89,16 @@ def extract_segment(buf: AudioBuffer, truth: PitchContour, rng,
     voiced_idx = np.flatnonzero(truth.voiced)
     if len(voiced_idx) == 0:
         raise SkipExample("no voiced frames")
+    max_start_frame = min((len(buf.samples) - seg_len) // h,
+                          len(truth) - seg_frames)
+    if max_start_frame < 0:
+        raise SkipExample("truth contour shorter than one training segment")
     center = int(rng.choice(voiced_idx))
-    max_start_frame = (len(buf.samples) - seg_len) // h
     start_frame = int(np.clip(center - seg_frames // 2, 0, max_start_frame))
     s0 = start_frame * h
     seg = buf.samples[s0:s0 + seg_len]
-    idx = start_frame + np.arange(seg_frames)
-    idx = np.minimum(idx, len(truth) - 1)
-    return seg, truth.f0_hz[idx], truth.voiced[idx].copy()
+    idx = slice(start_frame, start_frame + seg_frames)
+    return seg, truth.f0_hz[idx].copy(), truth.voiced[idx].copy()
 
 
 def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,

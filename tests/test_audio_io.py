@@ -50,6 +50,24 @@ def test_multichannel_rejected(tmp_path):
         read_wav(path)
 
 
+def wav_bytes(fmt_code, bits, payload):
+    import struct
+    block_align = bits // 8
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, fmt_code, 1, 16000,
+                                    16000 * block_align, block_align, bits)
+    header += b"data" + struct.pack("<I", len(payload))
+    return header + payload + b"\x00" * (len(payload) & 1)
+
+
+@pytest.mark.parametrize("fmt_code,bits,n_bytes", [(1, 16, 3), (3, 32, 6)])
+def test_data_chunk_not_whole_samples(tmp_path, fmt_code, bits, n_bytes):
+    path = tmp_path / "odd.wav"
+    path.write_bytes(wav_bytes(fmt_code, bits, b"\x01" * n_bytes))
+    with pytest.raises(FormatError, match="whole number"):
+        read_wav(path)
+
+
 def test_malformed_header(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"not a wav file at all")
@@ -133,3 +151,39 @@ def test_contour_csv_missing_column(tmp_path):
     path.write_text("time_sec,f0_hz,confidence\n0.0,220.0,0.9\n")
     with pytest.raises(FormatError):
         read_contour_csv(path)
+
+
+def test_contour_csv_non_numeric_field(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_sec,f0_hz,confidence,voiced\n"
+                    "0.000000,220.0,0.9,1\n0.016000,abc,0.9,1\n")
+    with pytest.raises(FormatError, match="non-numeric"):
+        read_contour_csv(path)
+
+
+def test_contour_csv_off_hop_grid(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = [f"{t},220.0,0.9,1" for t in ("0", "0.016", "0.5", "0.048")]
+    path.write_text("time_sec,f0_hz,confidence,voiced\n" + "\n".join(rows))
+    with pytest.raises(FormatError, match="hop grid"):
+        read_contour_csv(path)
+
+
+def test_contour_csv_non_finite_time(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_sec,f0_hz,confidence,voiced\nnan,220.0,0.9,1\n")
+    with pytest.raises(FormatError, match="non-finite"):
+        read_contour_csv(path)
+
+
+@pytest.mark.parametrize("hop", [0.016, 256 / 44100, 160 / 16000, 1 / 3,
+                                 0.0123457])
+def test_contour_csv_rounded_times_of_any_hop_load(tmp_path, hop):
+    # times are written to 1e-6 s, so steps jitter by up to 1e-6 s
+    n = 5000
+    c = PitchContour(hop, np.full(n, 220.0), np.ones(n), np.ones(n, bool))
+    path = tmp_path / "c.csv"
+    write_contour_csv(c, path)
+    back = read_contour_csv(path)
+    assert len(back) == n
+    assert back.hop_seconds == pytest.approx(hop, abs=1e-6)

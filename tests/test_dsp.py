@@ -15,6 +15,31 @@ def naive_dft_magnitude(frame: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(ang) @ frame)
 
 
+def naive_dft(x: np.ndarray) -> np.ndarray:
+    """O(N^2) oracle over the last axis: bins 0..N/2, built in row blocks."""
+    n = x.shape[-1]
+    out = []
+    for k0 in range(0, n // 2 + 1, 256):
+        k = np.arange(k0, min(k0 + 256, n // 2 + 1))[:, None]
+        ang = -2.0 * np.pi * ((k * np.arange(n)[None, :]) % n) / n
+        out.append(x @ np.exp(1j * ang).T)
+    return np.concatenate(out, axis=-1)
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 13)])
+def test_rfft_matches_naive_dft_every_size(n):
+    x = np.random.default_rng(n).standard_normal((2, 3, n))
+    spec = rfft_radix2(x)
+    oracle = naive_dft(x)
+    assert spec.shape == (2, 3, n // 2 + 1)
+    assert np.abs(spec - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+
+def test_rfft_rejects_non_power_of_two():
+    with pytest.raises(ArgumentError):
+        rfft_radix2(np.zeros((2, 12)))
+
+
 def test_hann_endpoints():
     w = hann_window(1024)
     assert w[0] == 0.0

@@ -170,6 +170,40 @@ def test_receptive_field_21x21():
     assert np.abs(touched_f - f0).max() <= 10
 
 
+def direct_sum_conv(x, w, bias):
+    """float64 oracle: out[b,t,f,o] = bias[o] + sum_{i,j,c} xp[b,t+i,f+j,c] w[o,c,i,j]."""
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    b, t, f, _ = x.shape
+    pad = net.PAD
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    out = np.zeros((b, t, f, w.shape[0])) + bias.astype(np.float64)
+    abs_sum = np.zeros_like(out) + np.abs(bias.astype(np.float64))
+    for i in range(net.KERNEL):
+        for j in range(net.KERNEL):
+            window = xp[:, i:i + t, j:j + f, :]
+            out += np.einsum("btfc,oc->btfo", window, w[:, :, i, j])
+            abs_sum += np.einsum("btfc,oc->btfo", np.abs(window),
+                                 np.abs(w[:, :, i, j]))
+    return out, abs_sum
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", range(len(net.CHANNEL_PLAN) - 1))
+def test_conv_forward_matches_direct_sum(layer, dtype):
+    # one kernel per layer shape: im2col (c_in = 1), tap maps (c_out = 1)
+    # and shifted taps in between; all must agree with the plain sum
+    rng = np.random.default_rng(layer)
+    c_in, c_out = net.CHANNEL_PLAN[layer], net.CHANNEL_PLAN[layer + 1]
+    x = rng.standard_normal((3, 9, 21, c_in)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, net.KERNEL, net.KERNEL)).astype(dtype)
+    bias = rng.standard_normal(c_out).astype(dtype)
+    out = net._conv_forward(x, w, bias)
+    expected, abs_sum = direct_sum_conv(x, w, bias)
+    assert out.shape == expected.shape and out.dtype == dtype
+    # rounding bound: a few ulps of the dtype per unit of |terms|
+    assert np.all(np.abs(out - expected) <= 64 * np.finfo(dtype).eps * abs_sum)
+
+
 def random_bn_params(seed, dtype):
     """init_params with non-trivial conv biases and batch-norm statistics."""
     rng = np.random.default_rng(seed)
@@ -257,6 +291,17 @@ def test_load_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 100)
     with pytest.raises(FormatError):
+        net.load_params(path)
+
+
+def test_load_non_utf8_tensor_name(tmp_path):
+    path = tmp_path / "w.bin"
+    net.save_params(net.init_params(42), path)
+    data = bytearray(path.read_bytes())
+    # the first tensor name starts after magic, version, count and its length
+    data[14] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="UTF-8"):
         net.load_params(path)
 
 

@@ -84,6 +84,29 @@ def test_extract_segment_no_voiced():
         extract_segment(buf, truth, np.random.default_rng(0), STFT)
 
 
+def test_extract_segment_truth_shorter_than_segment():
+    # 1 s of audio but only 20 truth frames: no label may be repeated
+    from pitchkit.audio_io import PitchContour
+    buf, _ = tiny_corpus(1, seed=4)[0]
+    truth = PitchContour(0.016, np.full(20, 220.0), np.ones(20),
+                         np.ones(20, bool))
+    with pytest.raises(SkipExample, match="truth contour shorter"):
+        extract_segment(buf, truth, np.random.default_rng(0), STFT)
+
+
+def test_extract_segment_uses_truth_up_to_its_end():
+    # truth exactly one segment long: the only start is frame 0
+    from pitchkit.audio_io import PitchContour
+    buf, _ = tiny_corpus(1, seed=4)[0]
+    f0 = np.linspace(200.0, 300.0, 28)
+    truth = PitchContour(0.016, f0, np.ones(28), np.ones(28, bool))
+    seg, seg_f0, mask = extract_segment(buf, truth, np.random.default_rng(0),
+                                        STFT)
+    np.testing.assert_array_equal(seg, buf.samples[:8000])
+    np.testing.assert_array_equal(seg_f0, f0)
+    assert mask.all()
+
+
 # -- training loop ----------------------------------------------------------
 
 def test_empty_corpus_rejected():
