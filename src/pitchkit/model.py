@@ -371,7 +371,12 @@ def load_params(path, dtype=np.float32) -> ModelParams:
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         n_vals = math.prod(shape)  # exact, so a huge shape reads as truncated
-        vals = np.frombuffer(take(4 * n_vals), dtype="<f4").reshape(shape)
+        vals = np.frombuffer(take(4 * n_vals), dtype="<f4")
+        try:
+            vals = vals.reshape(shape)
+        except ValueError:  # too many dimensions, or a size numpy cannot index
+            raise FormatError(f"{path}: tensor {name!r} has shape {shape}, "
+                              "which no ndarray can hold") from None
         tensors[name] = vals.astype(dtype)
     if pos != len(data):
         raise FormatError(f"{path}: trailing bytes after last tensor")

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -302,6 +303,20 @@ def test_load_non_utf8_tensor_name(tmp_path):
     data[14] = 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="UTF-8"):
+        net.load_params(path)
+
+
+@pytest.mark.parametrize("shape", [(0,) * 200, (0,) + (2 ** 32 - 1,) * 4],
+                         ids=["rank 200", "zero size, huge dims"])
+def test_load_shape_no_ndarray_can_hold(tmp_path, shape):
+    # neither tensor has values to read, yet numpy can make no array of it
+    path = tmp_path / "w.bin"
+    name = b"conv0.weight"
+    path.write_bytes(b"SWF0" + struct.pack("<II", 1, 1)
+                     + struct.pack("<H", len(name)) + name
+                     + struct.pack("<B", len(shape))
+                     + struct.pack(f"<{len(shape)}I", *shape))
+    with pytest.raises(FormatError, match="no ndarray can hold"):
         net.load_params(path)
 
 
