@@ -13,10 +13,11 @@ import numpy as np
 
 from .errors import ArgumentError, FormatError, UnsupportedError
 
-F_MIN_HZ = 46.875
-F_MAX_HZ = 2093.75
+# the rate and frame hop the model was built for; every other rate is
+# resampled to CANONICAL_SR, and contours step HOP_SECONDS (16 ms)
 CANONICAL_SR = 16000
-HOP_SECONDS = 0.016
+HOP = 256
+HOP_SECONDS = HOP / CANONICAL_SR
 
 
 @dataclass

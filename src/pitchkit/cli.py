@@ -15,38 +15,30 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, model as net
-from .audio_io import (read_contour_csv, read_wav, write_contour_csv,
-                       write_wav)
+from .audio_io import (CANONICAL_SR, read_contour_csv, read_wav,
+                       resample_linear, write_contour_csv, write_wav)
 from .decode import DecoderConfig
-from .dsp import StftConfig
 from .errors import (AlignmentError, ArgumentError, DivergenceError,
                      PitchkitError)
-from .grid import PitchGrid
 from .metrics import EvalReport, evaluate, evaluate_noisy
 from .pipeline import analyze, make_estimator
 from .synth import random_spec, synth_example
 from .train import TrainConfig, train_loop
 
+# `train --config` keys and how each value parses
+_CONFIG_KEYS = {"seed": int, "lr": float, "batch": int, "epochs": int,
+                "lambda": float, "gain_db_min": float, "gain_db_max": float,
+                "snr_db_min": float, "snr_db_max": float, "noise_dir": str}
 
-def _add_common(parser):
-    parser.add_argument("--sr", type=int, default=16000)
-    parser.add_argument("--n-fft", type=int, default=1024)
-    parser.add_argument("--hop", type=int, default=256)
-    parser.add_argument("--fmin", type=float, default=46.875)
-    parser.add_argument("--fmax", type=float, default=2093.75)
-    parser.add_argument("--bins", type=int, default=200)
+
+def _add_decoder(parser):
     parser.add_argument("--window", type=int, default=9)
     parser.add_argument("--threshold", type=float, default=0.90)
-    parser.add_argument("--seed", type=int, default=0)
 
 
-def _configs(args):
-    stft = StftConfig(window_len=args.n_fft, hop=args.hop,
-                      sample_rate_hz=args.sr, f_min=args.fmin, f_max=args.fmax)
-    grid = PitchGrid(n_bins=args.bins, f_min=args.fmin, f_max=args.fmax)
-    dec = DecoderConfig(half_width=args.window,
-                        voicing_threshold=args.threshold)
-    return stft, grid, dec
+def _decoder(args) -> DecoderConfig:
+    return DecoderConfig(half_width=args.window,
+                         voicing_threshold=args.threshold)
 
 
 def _print_report(report: EvalReport, out_csv=None):
@@ -62,26 +54,25 @@ def _print_report(report: EvalReport, out_csv=None):
                 writer.writerow([key, f"{value:.6f}"])
 
 
-def _load_noise(noise_dir, sr):
+def _load_noise(noise_dir):
     signals = []
     if noise_dir:
         for path in sorted(Path(noise_dir).glob("*.wav")):
             buf = read_wav(path)
-            if buf.sample_rate_hz != sr:
-                from .audio_io import resample_linear
-                buf = resample_linear(buf, sr)
+            if buf.sample_rate_hz != CANONICAL_SR:
+                buf = resample_linear(buf, CANONICAL_SR)
             signals.append(buf.samples)
     return signals
 
 
 def cmd_analyze(args) -> int:
-    stft, grid, dec = _configs(args)
+    dec = _decoder(args)
     if not Path(args.weights).is_file():
         print(f"weights file not found: {args.weights}", file=sys.stderr)
         return 2
     params = net.load_params(args.weights)
     buf = read_wav(args.wav)
-    contour = analyze(buf, params, stft, grid, dec)
+    contour = analyze(buf, params, dec_cfg=dec)
     write_contour_csv(contour, args.out)
     voiced_frac = float(contour.voiced.mean()) if len(contour) else 0.0
     print(f"frames={len(contour)} voiced_fraction={voiced_frac:.4f}")
@@ -89,42 +80,39 @@ def cmd_analyze(args) -> int:
 
 
 def _read_config_file(path):
+    """Parse `key=value` lines into typed values; blank and # lines skip."""
     overrides = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        overrides[key.strip()] = value.strip()
+        key, sep, value = (part.strip() for part in line.partition("="))
+        where = f"{path} line {lineno} ({raw!r})"
+        if not sep:
+            raise ArgumentError(f"{where}: expected key=value")
+        if key not in _CONFIG_KEYS:
+            raise ArgumentError(f"{where}: unknown key {key!r}; known keys: "
+                                f"{', '.join(_CONFIG_KEYS)}")
+        try:
+            overrides[key] = _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ArgumentError(f"{where}: {key} needs a "
+                                f"{_CONFIG_KEYS[key].__name__} value") from None
     return overrides
 
 
 def cmd_train(args) -> int:
-    stft, grid, _ = _configs(args)
-    cfg = TrainConfig(seed=args.seed, epochs=args.epochs,
-                      batch_size=args.batch, lr=args.lr, lam=args.lam)
-    noise_dir = args.noise
-    if args.config:
-        over = _read_config_file(args.config)
-        if "seed" in over:
-            cfg.seed = int(over["seed"])
-        if "lr" in over:
-            cfg.lr = float(over["lr"])
-        if "batch" in over:
-            cfg.batch_size = int(over["batch"])
-        if "epochs" in over:
-            cfg.epochs = int(over["epochs"])
-        if "lambda" in over:
-            cfg.lam = float(over["lambda"])
-        if "gain_db_min" in over or "gain_db_max" in over:
-            cfg.gain_db_range = (float(over.get("gain_db_min", -6.0)),
-                                 float(over.get("gain_db_max", 6.0)))
-        if "snr_db_min" in over or "snr_db_max" in over:
-            cfg.snr_db_range = (float(over.get("snr_db_min", 10.0)),
-                                float(over.get("snr_db_max", 30.0)))
-        if "noise_dir" in over:
-            noise_dir = over["noise_dir"]
-    cfg.noise_signals = _load_noise(noise_dir, stft.sample_rate_hz)
+    over = _read_config_file(args.config) if args.config else {}
+    default = TrainConfig()
+    cfg = TrainConfig(
+        seed=over.get("seed", args.seed), epochs=over.get("epochs", args.epochs),
+        batch_size=over.get("batch", args.batch), lr=over.get("lr", args.lr),
+        lam=over.get("lambda", args.lam),
+        gain_db_range=(over.get("gain_db_min", default.gain_db_range[0]),
+                       over.get("gain_db_max", default.gain_db_range[1])),
+        snr_db_range=(over.get("snr_db_min", default.snr_db_range[0]),
+                      over.get("snr_db_max", default.snr_db_range[1])),
+        noise_signals=_load_noise(over.get("noise_dir", args.noise)))
 
     corpus = []
     for line in Path(args.manifest).read_text().splitlines():
@@ -142,10 +130,13 @@ def cmd_train(args) -> int:
               f"ce={entry['ce']:.6f} cents={entry['cents']:.6f}")
 
     try:
-        params, _ = train_loop(corpus, cfg, stft, grid, log_callback=log)
+        params, _ = train_loop(corpus, cfg, log_callback=log)
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
+    except AlignmentError as exc:
+        print(f"alignment failure: {exc}", file=sys.stderr)
+        return 4
     net.save_params(params, args.out)
     loss_csv = args.loss_csv or str(Path(args.out).with_suffix(".loss.csv"))
     with open(loss_csv, "w", newline="") as fh:
@@ -158,23 +149,29 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    stft, grid, dec = _configs(args)
-    truth = read_contour_csv(args.truth)
+    dec = _decoder(args)
     pred_path = Path(args.pred)
-    if pred_path.suffix.lower() == ".wav":
+    is_wav = pred_path.suffix.lower() == ".wav"
+    if (args.snr is not None or args.noise) and not args.noisy:
+        raise ArgumentError("--snr and --noise need --noisy")
+    if args.noisy and not is_wav:
+        raise ArgumentError("--noisy mixes noise into audio: the prediction "
+                            "must be a WAV")
+    truth = read_contour_csv(args.truth)
+    if is_wav:
         if args.weights is None:
             raise ArgumentError("evaluating a WAV needs --weights")
         params = net.load_params(args.weights)
         buf = read_wav(pred_path)
         if args.noisy:
-            estimator = make_estimator(params, stft, grid, dec)
-            noise = _load_noise(args.noise, stft.sample_rate_hz)
-            report = evaluate_noisy(estimator, [(buf, truth)],
-                                    snr_db=args.snr, seed=args.seed,
-                                    noise_signals=noise)
+            estimator = make_estimator(params, dec_cfg=dec)
+            noise = _load_noise(args.noise)
+            snr_db = 10.0 if args.snr is None else args.snr
+            report = evaluate_noisy(estimator, [(buf, truth)], snr_db=snr_db,
+                                    seed=args.seed, noise_signals=noise)
             _print_report(report, args.out_csv)
             return 0
-        pred = analyze(buf, params, stft, grid, dec)
+        pred = analyze(buf, params, dec_cfg=dec)
     else:
         pred = read_contour_csv(pred_path)
     try:
@@ -190,13 +187,12 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    stft, _, _ = _configs(args)
     manifest_lines = []
     for i in range(args.count):
         spec = random_spec(rng, duration_s=args.duration,
                            f_low=args.f_low, f_high=args.f_high)
         try:
-            buf, truth = synth_example(spec, stft)
+            buf, truth = synth_example(spec)
         except ArgumentError as exc:
             print(f"synthesis range error: {exc}", file=sys.stderr)
             return 5
@@ -211,13 +207,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    stft, grid, dec = _configs(args)
+    if args.repeats < 1:
+        raise ArgumentError(f"--repeats must be >= 1, got {args.repeats}")
+    dec = _decoder(args)
     params = net.load_params(args.weights)
     buf = read_wav(args.wav)
     times = []
     for _ in range(args.repeats):
         start = time.perf_counter()
-        analyze(buf, params, stft, grid, dec)
+        analyze(buf, params, dec_cfg=dec)
         times.append(time.perf_counter() - start)
     mean_s, min_s = float(np.mean(times)), float(np.min(times))
     rtf = buf.duration_seconds / mean_s
@@ -227,9 +225,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_acf(args) -> int:
-    stft, _, _ = _configs(args)
     buf = read_wav(args.wav)
-    contour = baseline.acf_contour(buf, stft)
+    contour = baseline.acf_contour(buf)
     write_contour_csv(contour, args.out)
     voiced_frac = float(contour.voiced.mean()) if len(contour) else 0.0
     print(f"frames={len(contour)} voiced_fraction={voiced_frac:.4f}")
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("weights")
     p.add_argument("out")
-    _add_common(p)
+    _add_decoder(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train on a wav,csv manifest")
@@ -257,18 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--noise", help="directory of noise WAVs")
     p.add_argument("--loss-csv")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a prediction against ground truth")
     p.add_argument("pred", help="contour CSV or WAV (WAV needs --weights)")
     p.add_argument("truth")
     p.add_argument("--weights")
-    p.add_argument("--noisy", action="store_true")
-    p.add_argument("--noise", help="directory of noise WAVs")
-    p.add_argument("--snr", type=float, default=10.0)
+    p.add_argument("--noisy", action="store_true",
+                   help="score the WAV with noise mixed in (default 10 dB SNR)")
+    p.add_argument("--noise", help="directory of noise WAVs (needs --noisy)")
+    p.add_argument("--snr", type=float, help="SNR in dB (needs --noisy)")
     p.add_argument("--out-csv")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_decoder(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -277,20 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--f-low", type=float, default=100.0)
     p.add_argument("--f-high", type=float, default=1000.0)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="time the full pipeline")
     p.add_argument("wav")
     p.add_argument("weights")
     p.add_argument("--repeats", type=int, default=10)
-    _add_common(p)
+    _add_decoder(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("acf", help="autocorrelation baseline estimator")
     p.add_argument("wav")
     p.add_argument("out")
-    _add_common(p)
     p.set_defaults(func=cmd_acf)
 
     return parser

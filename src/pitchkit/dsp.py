@@ -1,5 +1,13 @@
 """Spectral front-end: Hann STFT, pitch-band selection, log compression.
 
+One path serves training and inference: `batch_spectrogram` frames the last
+axis of any (..., L) sample array into hop-spaced Hann frames (a strided
+view, no gather), runs the FFT over every frame at once, and keeps the log
+magnitude of the pitch band, giving (..., T, K). `spectrogram` calls it on
+one buffer, `train_loop` on a (B, L) batch of segments. The front-end the
+model was built for is fixed: 16 kHz, N = 1024, hop 256, and FFT bins 3-134
+(46.875-2093.75 Hz), so K = 132.
+
 The FFT packs N real samples into m = N/2 complex points, transforms them
 with a four-step (Bailey) FFT and untwiddles the result into the real
 spectrum. The four-step FFT views the m points as an m1 x m2 matrix
@@ -16,18 +24,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioBuffer
+from .audio_io import CANONICAL_SR, HOP, AudioBuffer
 from .errors import ArgumentError, DomainError, InputTooShort, ShapeError
+from .grid import F_MAX_HZ, F_MIN_HZ
 
 
 @dataclass(frozen=True)
 class StftConfig:
     window_len: int = 1024
-    hop: int = 256
-    sample_rate_hz: int = 16000
-    f_min: float = 46.875
-    f_max: float = 2093.75
+    hop: int = HOP
+    sample_rate_hz: int = CANONICAL_SR
+    f_min: float = F_MIN_HZ
+    f_max: float = F_MAX_HZ
     epsilon: float = 1e-8
 
     def __post_init__(self):
@@ -132,27 +142,35 @@ def rfft_radix2(frames: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (m + 1,))
 
 
-def stft_magnitude(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
-    """Magnitude STFT, shape (T, N/2+1); frames left-aligned, no padding."""
+def _samples(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
     if buf.sample_rate_hz != cfg.sample_rate_hz:
         raise ArgumentError(
             f"buffer rate {buf.sample_rate_hz} != config rate {cfg.sample_rate_hz}")
-    n, h = cfg.window_len, cfg.hop
-    x = buf.samples
-    if len(x) < n:
-        raise InputTooShort(f"need at least {n} samples, got {len(x)}")
-    t = (len(x) - n) // h + 1
-    starts = np.arange(t) * h
-    frames = x[starts[:, None] + np.arange(n)[None, :]] * hann_window(n)
-    return np.abs(rfft_radix2(frames))
+    return buf.samples
+
+
+def _magnitude(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """(..., L) samples -> (..., T, N/2+1) magnitudes of left-aligned,
+    unpadded Hann frames, hop samples apart."""
+    n = cfg.window_len
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.shape[-1] < n:
+        raise InputTooShort(f"need at least {n} samples, got {samples.shape[-1]}")
+    frames = sliding_window_view(samples, n, axis=-1)[..., ::cfg.hop, :]
+    return np.abs(rfft_radix2(frames * hann_window(n)))
+
+
+def stft_magnitude(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
+    """Magnitude STFT, shape (T, N/2+1); frames left-aligned, no padding."""
+    return _magnitude(_samples(buf, cfg), cfg)
 
 
 def band_select(full: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Keep columns k_min..k_max inclusive of the half spectrum."""
+    """Keep columns k_min..k_max inclusive of the half spectrum (last axis)."""
     expected = cfg.window_len // 2 + 1
-    if full.ndim != 2 or full.shape[1] != expected:
-        raise ShapeError(f"expected (T, {expected}), got {full.shape}")
-    return full[:, cfg.k_min:cfg.k_max + 1]
+    if full.ndim < 1 or full.shape[-1] != expected:
+        raise ShapeError(f"expected (..., {expected}), got {full.shape}")
+    return full[..., cfg.k_min:cfg.k_max + 1]
 
 
 def log_compress(mag: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
@@ -163,10 +181,14 @@ def log_compress(mag: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
     return np.log(mag + epsilon)
 
 
+def batch_spectrogram(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """(..., L) samples at cfg's rate -> (..., T, K) log band magnitudes."""
+    return log_compress(band_select(_magnitude(samples, cfg), cfg), cfg.epsilon)
+
+
 def spectrogram(buf: AudioBuffer, cfg: StftConfig | None = None) -> Spectrogram:
-    """Full front-end: STFT magnitude -> band selection -> log compression."""
+    """Full front-end of one buffer: `batch_spectrogram` plus frame times."""
     cfg = cfg or StftConfig()
-    mag = stft_magnitude(buf, cfg)
-    values = log_compress(band_select(mag, cfg), cfg.epsilon)
+    values = batch_spectrogram(_samples(buf, cfg), cfg)
     times = np.arange(values.shape[0]) * cfg.hop_seconds
     return Spectrogram(values=values, frame_times=times, config=cfg)

@@ -10,12 +10,16 @@ import numpy as np
 
 from .errors import DomainError
 
+# the pitch range: FFT bins 3 and 134 of the 1024-point, 16 kHz front-end
+F_MIN_HZ = 46.875
+F_MAX_HZ = 2093.75
+
 
 @dataclass(frozen=True)
 class PitchGrid:
     n_bins: int = 200
-    f_min: float = 46.875
-    f_max: float = 2093.75
+    f_min: float = F_MIN_HZ
+    f_max: float = F_MAX_HZ
 
     @property
     def log2_step(self) -> float:

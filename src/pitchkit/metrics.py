@@ -17,6 +17,9 @@ from .errors import (AlignmentError, ArgumentError, SkipExample,
                      UndefinedMetric)
 from .grid import cents_error
 
+# largest hop difference, in seconds, at which two contours' frames pair up
+HOP_MATCH_S = 1e-9
+
 
 @dataclass
 class AlignedFrames:
@@ -48,7 +51,7 @@ class EvalReport:
 
 def align(pred: PitchContour, truth: PitchContour) -> AlignedFrames:
     """Pair frame i with frame i; extra tail frames on either side drop."""
-    if abs(pred.hop_seconds - truth.hop_seconds) > 1e-9:
+    if abs(pred.hop_seconds - truth.hop_seconds) > HOP_MATCH_S:
         raise AlignmentError(
             f"hop mismatch: {pred.hop_seconds} vs {truth.hop_seconds}")
     n = min(len(pred), len(truth))

@@ -30,14 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Spectrogram
+from .dsp import Spectrogram, StftConfig
 from .errors import FormatError, ShapeError, StateError
+from .grid import PitchGrid
 
 CHANNEL_PLAN = [1, 8, 16, 32, 64, 1]
 KERNEL = 5
 PAD = KERNEL // 2
-N_BANDS = 132
-N_PITCH_BINS = 200
+N_BANDS = StftConfig().n_bands
+N_PITCH_BINS = PitchGrid().n_bins
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 # eval-mode block length in frames, and the context each block needs on

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer, CANONICAL_SR, F_MAX_HZ, F_MIN_HZ, PitchContour
+from .audio_io import CANONICAL_SR, AudioBuffer, PitchContour
 from .dsp import StftConfig
 from .errors import ArgumentError
+from .grid import F_MAX_HZ, F_MIN_HZ
 
 
 @dataclass

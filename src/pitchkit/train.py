@@ -4,17 +4,19 @@ deterministic under a fixed master seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as net
 from .augment import AugmentConfig, augment
-from .audio_io import AudioBuffer, PitchContour
-from .dsp import StftConfig, band_select, log_compress, rfft_radix2, hann_window
-from .errors import ArgumentError, DivergenceError, SkipExample
+from .audio_io import AudioBuffer, PitchContour, resample_linear
+from .dsp import StftConfig, batch_spectrogram
+from .errors import AlignmentError, ArgumentError, DivergenceError, SkipExample
 from .grid import PitchGrid
 from .losses import loss_total
+from .metrics import HOP_MATCH_S
 
 SEGMENT_SECONDS = 0.5
 
@@ -60,21 +62,6 @@ class Adam:
                   / (np.sqrt(self.v[name] / bc2) + c.adam_eps)).astype(p.dtype)
 
 
-def batch_spectrogram(segments: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """(B, L) waveforms -> (B, T, K) log-magnitude spectrograms."""
-    b, length = segments.shape
-    n, h = cfg.window_len, cfg.hop
-    t = (length - n) // h + 1
-    starts = np.arange(t) * h
-    frames = segments[:, starts[:, None] + np.arange(n)[None, :]]
-    frames = (frames * hann_window(n)).reshape(b * t, n)
-    mag = np.abs(rfft_radix2(frames)).reshape(b, t, n // 2 + 1)
-    out = np.empty((b, t, cfg.n_bands))
-    for i in range(b):
-        out[i] = log_compress(band_select(mag[i], cfg), cfg.epsilon)
-    return out
-
-
 def extract_segment(buf: AudioBuffer, truth: PitchContour, rng,
                     stft_cfg: StftConfig):
     """Random hop-aligned 0.5 s window centered on a voiced frame.
@@ -106,14 +93,33 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
                log_callback=None):
     """Train on (AudioBuffer, PitchContour) pairs.
 
-    Returns (params, history) where history is a list of per-epoch dicts
-    with keys epoch/loss/ce/cents. Raises ArgumentError when an epoch skips
-    every example, so it would take no step.
+    Audio at another rate is resampled to the STFT rate once, before the
+    first epoch. Returns (params, history) where history is a list of
+    per-epoch dicts with keys epoch/loss/ce/cents. Raises ArgumentError for
+    a batch size or epoch count below 1, a learning rate that is not a
+    positive finite number, or an epoch that skips every example, so it
+    would take no step; raises AlignmentError when a truth contour's hop is
+    not the STFT hop.
     """
+    if cfg.batch_size < 1:
+        raise ArgumentError(f"batch size must be >= 1, got {cfg.batch_size}")
+    if cfg.epochs < 1:
+        raise ArgumentError(f"epochs must be >= 1, got {cfg.epochs}")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ArgumentError(f"learning rate must be positive and finite, "
+                            f"got {cfg.lr}")
     corpus = list(corpus)
     if not corpus:
         raise ArgumentError("empty corpus")
     stft_cfg = stft_cfg or StftConfig()
+    for i, (_, truth) in enumerate(corpus):
+        if abs(truth.hop_seconds - stft_cfg.hop_seconds) > HOP_MATCH_S:
+            raise AlignmentError(
+                f"example {i}: truth hop {truth.hop_seconds} s is not the "
+                f"STFT hop {stft_cfg.hop_seconds} s")
+    rate = stft_cfg.sample_rate_hz
+    corpus = [(buf if buf.sample_rate_hz == rate else resample_linear(buf, rate),
+               truth) for buf, truth in corpus]
     grid = grid or PitchGrid()
     rng = np.random.default_rng(cfg.seed)
     if params is None:

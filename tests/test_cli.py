@@ -6,7 +6,7 @@ import pytest
 from pitchkit import model as net
 from pitchkit.audio_io import (read_contour_csv, read_wav,
                                write_contour_csv, write_wav)
-from pitchkit.cli import main
+from pitchkit.cli import build_parser, main
 from pitchkit.synth import SynthSpec, synth_example
 
 
@@ -93,6 +93,51 @@ def test_train_config_file_overrides(workdir):
     assert len(loss_csv) == 2
 
 
+@pytest.fixture
+def tone_manifest(workdir):
+    path = workdir / "tone_manifest.txt"
+    path.write_text(f"{workdir / 'tone.wav'},{workdir / 'tone.csv'}\n")
+    return path
+
+
+@pytest.mark.parametrize("text,message", [
+    ("epochs\n", "line 1 ('epochs'): expected key=value"),
+    ("epochs=1\nlr=abc\n", "line 2 ('lr=abc'): lr needs a float"),
+    ("batch_size=1\n", "line 1 ('batch_size=1'): unknown key 'batch_size'"),
+])
+def test_train_config_file_strict(workdir, tone_manifest, capsys, text,
+                                  message):
+    cfg = workdir / "bad.cfg"
+    cfg.write_text(text)
+    out = workdir / "never.bin"
+    rc = main(["train", str(tone_manifest), str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--batch", "0"], ["--epochs", "0"],
+                                   ["--lr", "nan"]])
+def test_train_bad_arguments_exit_1(workdir, tone_manifest, flags):
+    out = workdir / "never.bin"
+    rc = main(["train", str(tone_manifest), str(out)] + flags)
+    assert rc == 1
+    assert not out.exists()
+
+
+def test_train_foreign_hop_exits_4(workdir, capsys):
+    d = workdir / "hop10_corpus"
+    d.mkdir()
+    rows = "".join(f"{i * 0.01:.6f},220.000000,1.000000,1\n" for i in range(100))
+    (d / "t.csv").write_text("time_sec,f0_hz,confidence,voiced\n" + rows)
+    (d / "manifest.txt").write_text(f"{workdir / 'tone.wav'},{d / 't.csv'}\n")
+    out = d / "never.bin"
+    rc = main(["train", str(d / "manifest.txt"), str(out), "--epochs", "1"])
+    assert rc == 4
+    assert not out.exists()
+    assert "alignment failure" in capsys.readouterr().err
+
+
 def test_train_short_corpus_fails_without_weights(workdir, capsys):
     d = workdir / "short_corpus"
     d.mkdir()
@@ -139,6 +184,15 @@ def test_eval_alignment_failure(workdir):
     assert rc == 4
 
 
+@pytest.mark.parametrize("flags", [["--noisy"], ["--snr", "5"],
+                                   ["--noise", "noise_dir"]])
+def test_eval_noise_flags_rejected_for_csv(workdir, capsys, flags):
+    rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
+              + flags)
+    assert rc == 1
+    assert "--noisy" in capsys.readouterr().err
+
+
 def test_eval_wav_prediction(workdir):
     # threshold 0 forces every frame voiced so untrained weights still score
     rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
@@ -172,6 +226,35 @@ def test_bench_reports_rtf(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "rtf=" in out and "mean_s=" in out
+
+
+def test_bench_zero_repeats(workdir, capsys):
+    rc = main(["bench", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+               "--repeats", "0"])
+    assert rc == 1
+    assert "--repeats" in capsys.readouterr().err
+
+
+def test_cli_offers_only_honoured_options(workdir):
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               - {"-h", "--help"} for name, p in subparsers.items()}
+    decoder = {"--window", "--threshold"}
+    assert options == {
+        "analyze": decoder,
+        "train": {"--config", "--epochs", "--batch", "--lr", "--lam",
+                  "--noise", "--loss-csv", "--seed"},
+        "eval": {"--weights", "--noisy", "--noise", "--snr", "--out-csv",
+                 "--seed"} | decoder,
+        "synth": {"--count", "--duration", "--f-low", "--f-high", "--seed"},
+        "bench": {"--repeats"} | decoder,
+        "acf": set(),
+    }
+    # the front-end is fixed: a flag to change it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+              str(workdir / "x.csv"), "--n-fft", "2048"])
+    assert exc.value.code == 2
 
 
 def test_acf_baseline_on_tone(workdir):

@@ -139,6 +139,13 @@ def test_band_select_slice():
     assert 3 * 15.625 == 46.875
 
 
+def test_band_select_any_leading_shape():
+    full = np.random.default_rng(1).standard_normal((2, 3, 513))
+    out = band_select(full, StftConfig())
+    assert out.shape == (2, 3, 132)
+    np.testing.assert_array_equal(out, full[..., 3:135])
+
+
 def test_band_select_wrong_shape():
     with pytest.raises(ShapeError):
         band_select(np.zeros((4, 512)), StftConfig())

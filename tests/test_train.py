@@ -3,7 +3,8 @@ import pytest
 
 from pitchkit import model as net
 from pitchkit.dsp import StftConfig, spectrogram
-from pitchkit.errors import ArgumentError, SkipExample
+from pitchkit.audio_io import resample_linear
+from pitchkit.errors import AlignmentError, ArgumentError, SkipExample
 from pitchkit.synth import SynthSpec, synth_example
 from pitchkit.train import (Adam, TrainConfig, batch_spectrogram,
                             extract_segment, train_loop)
@@ -53,7 +54,7 @@ def test_batch_spectrogram_matches_single():
     for i in range(3):
         from pitchkit.audio_io import AudioBuffer
         single = spectrogram(AudioBuffer(segs[i], 16000), STFT).values
-        np.testing.assert_allclose(batch[i], single, atol=1e-10)
+        assert np.array_equal(batch[i], single)
 
 
 # -- segment extraction -----------------------------------------------------
@@ -112,6 +113,39 @@ def test_extract_segment_uses_truth_up_to_its_end():
 def test_empty_corpus_rejected():
     with pytest.raises(ArgumentError):
         train_loop([], TrainConfig())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("epochs", 0), ("lr", 0.0), ("lr", -1e-3),
+    ("lr", float("nan")), ("lr", float("inf"))])
+def test_bad_training_arguments_rejected(field, value):
+    cfg = TrainConfig(epochs=1, batch_size=2)
+    setattr(cfg, field, value)
+    with pytest.raises(ArgumentError, match="batch size|epochs|learning rate"):
+        train_loop(tiny_corpus(1), cfg)
+
+
+def test_truth_hop_other_than_stft_hop_rejected():
+    # a 10 ms contour must not be indexed as 16 ms frames
+    from pitchkit.audio_io import PitchContour
+    corpus = tiny_corpus(2)
+    buf, _ = corpus[1]
+    corpus[1] = (buf, PitchContour(0.01, np.full(100, 220.0), np.ones(100),
+                                   np.ones(100, bool)))
+    with pytest.raises(AlignmentError, match="example 1"):
+        train_loop(corpus, TrainConfig(epochs=1, batch_size=2))
+
+
+def test_foreign_rate_resampled_before_training():
+    # 44.1 kHz audio trains exactly as its resampling to 16 kHz does
+    up = [(resample_linear(buf, 44100), truth) for buf, truth in tiny_corpus(2)]
+    down = [(resample_linear(buf, 16000), truth) for buf, truth in up]
+    cfg = TrainConfig(seed=7, epochs=1, batch_size=2)
+    p_up, h_up = train_loop(up, cfg)
+    p_down, h_down = train_loop(down, cfg)
+    assert h_up == h_down
+    for name, a in p_up.all_tensors().items():
+        np.testing.assert_array_equal(a, p_down.all_tensors()[name])
 
 
 def test_training_deterministic():
