@@ -32,13 +32,15 @@ _CONFIG_KEYS = {"seed": int, "lr": float, "batch": int, "epochs": int,
 
 
 def _add_decoder(parser):
-    parser.add_argument("--window", type=int, default=9)
-    parser.add_argument("--threshold", type=float, default=0.90)
+    # no defaults here: DecoderConfig holds them, and `eval` must tell a
+    # flag that was given from one that was not
+    parser.add_argument("--window", type=int)
+    parser.add_argument("--threshold", type=float)
 
 
 def _decoder(args) -> DecoderConfig:
-    return DecoderConfig(half_width=args.window,
-                         voicing_threshold=args.threshold)
+    given = {"half_width": args.window, "voicing_threshold": args.threshold}
+    return DecoderConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _print_report(report: EvalReport, out_csv=None):
@@ -152,11 +154,20 @@ def cmd_eval(args) -> int:
     dec = _decoder(args)
     pred_path = Path(args.pred)
     is_wav = pred_path.suffix.lower() == ".wav"
-    if (args.snr is not None or args.noise) and not args.noisy:
-        raise ArgumentError("--snr and --noise need --noisy")
+    if (args.snr is not None or args.noise or args.seed is not None) \
+            and not args.noisy:
+        raise ArgumentError("--snr, --noise and --seed need --noisy")
     if args.noisy and not is_wav:
         raise ArgumentError("--noisy mixes noise into audio: the prediction "
                             "must be a WAV")
+    if not is_wav:
+        given = [flag for flag, value in (("--weights", args.weights),
+                                          ("--window", args.window),
+                                          ("--threshold", args.threshold))
+                 if value is not None]
+        if given:
+            raise ArgumentError(f"{', '.join(given)} apply only to a WAV "
+                                f"prediction; a contour CSV is scored as it is")
     truth = read_contour_csv(args.truth)
     if is_wav:
         if args.weights is None:
@@ -167,8 +178,9 @@ def cmd_eval(args) -> int:
             estimator = make_estimator(params, dec_cfg=dec)
             noise = _load_noise(args.noise)
             snr_db = 10.0 if args.snr is None else args.snr
+            seed = 0 if args.seed is None else args.seed
             report = evaluate_noisy(estimator, [(buf, truth)], snr_db=snr_db,
-                                    seed=args.seed, noise_signals=noise)
+                                    seed=seed, noise_signals=noise)
             _print_report(report, args.out_csv)
             return 0
         pred = analyze(buf, params, dec_cfg=dec)
@@ -266,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", help="directory of noise WAVs (needs --noisy)")
     p.add_argument("--snr", type=float, help="SNR in dB (needs --noisy)")
     p.add_argument("--out-csv")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="noise seed (needs --noisy)")
     _add_decoder(p)
     p.set_defaults(func=cmd_eval)
 

@@ -15,6 +15,20 @@ every layer runs as a few large BLAS calls:
 - layers 1-3 are 25 shifted-tap matmuls over the zero-padded input, which
   already have enough channels on both sides and need no patch matrix.
 
+The backward pass reuses these kernels. dx of a layer is the forward conv of
+its output gradient with the spatially flipped, channel-transposed kernel,
+so layer 4's dx runs as the im2col GEMM, layer 0's on the tap maps and
+layers 1-3 on the shifted taps. dw puts the output gradient in the top-left
+corner of a zero grid the size of the padded input. Flattened to rows of
+channels, tap (i, j) is then a GEMM of the gradient rows with the input rows
+i*(f+4) + j further on, both contiguous views, taken in blocks of ROW_BLOCK
+rows so that both operands stay in cache across the 25 taps. With one
+output channel (layer 4) dw is a single GEMM of the padded input with the
+25 shifted copies of the gradient. Train-mode batch norm centres its input once into x_hat,
+takes the variance from it and scales it in place; its backward takes the
+two channel sums it needs (which are also the beta and gamma gradients) and
+forms dx in one new array.
+
 Eval mode folds each batch norm into its conv kernel and bias, so a layer is
 conv -> ReLU. `forward` runs a long spectrogram in blocks of CHUNK frames,
 each widened by HALO frames of context on both sides; HALO is the
@@ -45,6 +59,10 @@ BN_MOMENTUM = 0.1
 # either side: every layer widens the receptive field by PAD frames
 CHUNK = 256
 HALO = (len(CHANNEL_PLAN) - 1) * PAD
+# grid rows per block of the per-tap dw GEMMs: a block of gradient and input
+# rows (about 1.5 MB at 96 channels) stays in cache across the 25 taps,
+# where whole-grid operands are read from memory once per tap
+ROW_BLOCK = 4096
 
 
 @dataclass
@@ -174,34 +192,56 @@ def _conv_shifted_taps(x, w, bias):
 def _conv_backward(x, w, d_out):
     """Returns (dx, dw, db) for the same-padded conv.
 
-    dx is itself a same-padded conv of d_out with the spatially flipped,
-    channel-transposed kernel; dw is one small GEMM per tap.
+    dx is the forward conv of d_out with the spatially flipped,
+    channel-transposed kernel, so it runs on `_conv_forward`'s kernels.
+    dw is one GEMM per tap and block of ROW_BLOCK rows over flat row views
+    of the padded grids, or one GEMM in all when the layer has a single
+    output channel.
     """
     b, t, f, c_in = x.shape
     c_out = w.shape[0]
-    xp = _pad_spatial(x)
-    d_flat = d_out.reshape(-1, c_out)
-    dw = np.empty_like(w)
-    for i in range(KERNEL):
-        for j in range(KERNEL):
-            patch = xp[:, i:i + t, j:j + f, :].reshape(-1, c_in)
-            dw[:, :, i, j] = d_flat.T @ patch
-    db = d_flat.sum(axis=0)
+    db = d_out.reshape(-1, c_out).sum(axis=0)
+    dx = _conv_forward(d_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                       np.zeros(c_in, dtype=x.dtype))
 
-    dp = _pad_spatial(d_out)
-    w_flip = np.ascontiguousarray(
-        w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1))  # (5, 5, c_out, c_in)
-    dx = np.zeros_like(x)
-    for i in range(KERNEL):
-        for j in range(KERNEL):
-            dx += dp[:, i:i + t, j:j + f, :] @ w_flip[i, j]
+    # On the padded grid flattened to rows, input position p + i*fp + j is
+    # tap (i, j) of output position p when d_out sits in the top-left
+    # corner; the zero border pairs every wrapped row with a zero gradient.
+    fp = f + 2 * PAD
+    xp_flat = _pad_spatial(x).reshape(-1, c_in)
+    d_pad = np.zeros((b, t + 2 * PAD, fp, c_out), dtype=d_out.dtype)
+    d_pad[:, :t, :f] = d_out
+    d_flat = d_pad.reshape(-1, c_out)
+    offsets = [i * fp + j for i in range(KERNEL) for j in range(KERNEL)]
+    m = len(xp_flat) - offsets[-1]
+    if c_out == 1:
+        # column k of `shifts` is the gradient moved down by offsets[k]
+        g = np.concatenate((np.zeros(offsets[-1], dtype=d_out.dtype),
+                            d_flat[:, 0]))
+        starts = offsets[-1] - np.asarray(offsets)
+        shifts = sliding_window_view(g, offsets[-1] + 1)[:, starts]
+        dw = (xp_flat.T @ shifts).reshape(w.shape)
+    else:
+        taps = np.zeros((len(offsets), c_out, c_in), dtype=w.dtype)
+        for r0 in range(0, m, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, m)
+            d_rows = d_flat[r0:r1].T
+            for k, off in enumerate(offsets):
+                taps[k] += d_rows @ xp_flat[r0 + off:r1 + off]
+        dw = taps.transpose(1, 2, 0).reshape(w.shape)
     return dx, dw, db
 
 
 def _bn_forward(x, gamma, beta, run_mean, run_var, train, update_running):
+    """Batch norm over all but the channel axis; returns (y, (x_hat,
+    inv_std)). x is left as it is: x_hat is centred once into a new array,
+    then scaled in place."""
     if train:
+        n = x.size // x.shape[-1]
         mean = x.mean(axis=(0, 1, 2))
-        var = x.var(axis=(0, 1, 2))
+        x_hat = x - mean
+        flat = x_hat.reshape(n, -1)
+        var = np.einsum("nc,nc->c", flat, flat) / n
         if update_running:
             run_mean *= 1.0 - BN_MOMENTUM
             run_mean += BN_MOMENTUM * mean
@@ -209,20 +249,27 @@ def _bn_forward(x, gamma, beta, run_mean, run_var, train, update_running):
             run_var += BN_MOMENTUM * var
     else:
         mean, var = run_mean, run_var
+        x_hat = x - mean
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (x - mean) * inv_std
-    return gamma * x_hat + beta, (x_hat, inv_std)
+    x_hat *= inv_std
+    y = x_hat * gamma
+    y += beta
+    return y, (x_hat, inv_std)
 
 
 def _bn_backward(d_out, x_hat, inv_std, gamma):
-    n = x_hat.shape[0] * x_hat.shape[1] * x_hat.shape[2]
-    d_gamma = (d_out * x_hat).sum(axis=(0, 1, 2))
-    d_beta = d_out.sum(axis=(0, 1, 2))
-    d_xhat = d_out * gamma
-    dx = (inv_std / n) * (n * d_xhat
-                          - d_xhat.sum(axis=(0, 1, 2))
-                          - x_hat * (d_xhat * x_hat).sum(axis=(0, 1, 2)))
-    return dx, d_gamma, d_beta
+    """dx = gamma * inv_std * (d - s1/n - x_hat * s2/n) with the channel sums
+    s1 = sum d (the beta gradient) and s2 = sum d * x_hat (the gamma
+    gradient), in one new array."""
+    c = d_out.shape[-1]
+    n = d_out.size // c
+    s1 = d_out.sum(axis=(0, 1, 2))
+    s2 = np.einsum("nc,nc->c", d_out.reshape(n, c), x_hat.reshape(n, c))
+    dx = x_hat * (-s2 / n)
+    dx += d_out
+    dx -= s1 / n
+    dx *= gamma * inv_std
+    return dx, s2, s1
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +296,9 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False,
             y, (x_hat, inv_std) = _bn_forward(
                 z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i],
                 train, update_running)
-            h = np.maximum(y, 0.0)
-            cache["layers"].append((layer_in, x_hat, inv_std, y > 0.0))
+            relu_mask = y > 0.0
+            h = np.maximum(y, 0.0, out=y)
+            cache["layers"].append((layer_in, x_hat, inv_std, relu_mask))
     else:
         cache = {"train": False}
         for i in range(len(p.conv_w)):
@@ -286,7 +334,7 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
     d_h = (d_logits @ p.proj_w)[..., None]  # (B, T, F, 1)
     for i in reversed(range(len(p.conv_w))):
         layer_in, x_hat, inv_std, relu_mask = cache["layers"][i]
-        d_y = d_h * relu_mask
+        d_y = np.multiply(d_h, relu_mask, out=d_h)
         d_z, d_gamma, d_beta = _bn_backward(d_y, x_hat, inv_std, p.bn_gamma[i])
         d_h, dw, db = _conv_backward(layer_in, p.conv_w[i], d_z)
         grads[f"conv{i}.weight"] = dw

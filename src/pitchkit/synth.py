@@ -51,13 +51,18 @@ def f0_trajectory(spec: SynthSpec, t: np.ndarray) -> np.ndarray:
 def synth_example(spec: SynthSpec, cfg: StftConfig | None = None):
     """Render the signal and its exact hop-grid contour.
 
-    Returns (AudioBuffer, PitchContour). Contour frame m carries the
+    Returns (AudioBuffer, PitchContour); raises ArgumentError for a clip
+    shorter than one analysis window. Contour frame m carries the
     instantaneous F0 at the center of analysis frame m (samples
     [m*hop, m*hop + window)), timestamped at m*hop/fs.
     """
     cfg = cfg or StftConfig()
     sr = spec.sample_rate_hz
     n = int(round(spec.duration_s * sr))
+    if n < cfg.window_len:
+        # the truth contour would have no frame
+        raise ArgumentError(f"{n} samples is shorter than one "
+                            f"{cfg.window_len}-sample analysis window")
     t = np.arange(n) / sr
     f0 = f0_trajectory(spec, t)
     if np.any(f0 < F_MIN_HZ) or np.any(f0 > F_MAX_HZ):

@@ -97,7 +97,8 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
     first epoch. Returns (params, history) where history is a list of
     per-epoch dicts with keys epoch/loss/ce/cents. Raises ArgumentError for
     a batch size or epoch count below 1, a learning rate that is not a
-    positive finite number, or an epoch that skips every example, so it
+    positive finite number, a loss weight lam that is not a non-negative
+    finite number, or an epoch that skips every example, so it
     would take no step; raises AlignmentError when a truth contour's hop is
     not the STFT hop.
     """
@@ -108,6 +109,10 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
     if not (math.isfinite(cfg.lr) and cfg.lr > 0):
         raise ArgumentError(f"learning rate must be positive and finite, "
                             f"got {cfg.lr}")
+    if not (math.isfinite(cfg.lam) and cfg.lam >= 0):
+        # a negative weight would reward pitch error
+        raise ArgumentError(f"lam must be non-negative and finite, "
+                            f"got {cfg.lam}")
     corpus = list(corpus)
     if not corpus:
         raise ArgumentError("empty corpus")

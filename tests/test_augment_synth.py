@@ -106,6 +106,14 @@ def test_out_of_range_trajectory_rejected():
         synth_example(SynthSpec(kind="constant", f0_hz=30.0))
 
 
+def test_clip_shorter_than_one_window_rejected():
+    # 1023 samples would give a truth contour of no frames; 1024 give one
+    with pytest.raises(ArgumentError, match="shorter than one"):
+        synth_example(SynthSpec(duration_s=1023 / 16000))
+    _, truth = synth_example(SynthSpec(duration_s=1024 / 16000))
+    assert len(truth) == 1
+
+
 def test_peak_normalization():
     buf, _ = synth_example(SynthSpec(n_harmonics=7))
     assert np.abs(buf.samples).max() == pytest.approx(0.9, abs=1e-9)

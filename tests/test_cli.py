@@ -34,6 +34,14 @@ def test_synth_writes_corpus(workdir):
     assert len(truth) > 0
 
 
+def test_synth_too_short_exits_5(workdir, capsys):
+    out = workdir / "too_short"
+    rc = main(["synth", str(out), "--count", "1", "--duration", "0.02"])
+    assert rc == 5
+    assert not (out / "ex0000.csv").exists()
+    assert "synthesis range error" in capsys.readouterr().err
+
+
 def test_synth_deterministic(workdir):
     a, b = workdir / "c_a", workdir / "c_b"
     main(["synth", str(a), "--count", "2", "--seed", "11"])
@@ -125,6 +133,16 @@ def test_train_bad_arguments_exit_1(workdir, tone_manifest, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["-5", "nan"])
+def test_train_bad_loss_weight_exits_1(workdir, tone_manifest, capsys, lam):
+    out = workdir / "never.bin"
+    rc = main(["train", str(tone_manifest), str(out), "--epochs", "1",
+               "--lam", lam])
+    assert rc == 1
+    assert not out.exists()
+    assert "lam" in capsys.readouterr().err
+
+
 def test_train_foreign_hop_exits_4(workdir, capsys):
     d = workdir / "hop10_corpus"
     d.mkdir()
@@ -191,6 +209,38 @@ def test_eval_noise_flags_rejected_for_csv(workdir, capsys, flags):
               + flags)
     assert rc == 1
     assert "--noisy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--weights", "nothing.bin"],
+                                   ["--window", "3"], ["--threshold", "0.5"]])
+def test_eval_decoder_flags_rejected_for_csv(workdir, capsys, flags):
+    # a contour CSV is scored as it is: no weights, no decoding
+    rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
+              + flags)
+    assert rc == 1
+    assert f"{flags[0]} apply only to a WAV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pred", ["tone.csv", "tone.wav"])
+def test_eval_seed_without_noisy_rejected(workdir, capsys, pred):
+    # the seed only draws the noise --noisy mixes in
+    weights = ["--weights", str(workdir / "w.bin")] if pred.endswith("wav") else []
+    rc = main(["eval", str(workdir / pred), str(workdir / "tone.csv"),
+               "--seed", "9"] + weights)
+    assert rc == 1
+    assert "--seed need --noisy" in capsys.readouterr().err
+
+
+def test_eval_noisy_wav_takes_seed(workdir, capsys):
+    args = ["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
+            "--weights", str(workdir / "w.bin"), "--threshold", "0.0",
+            "--noisy", "--snr", "5"]
+    reports = []
+    for seed in ([], ["--seed", "0"]):
+        assert main(args + seed) == 0
+        reports.append(capsys.readouterr().out)
+    # no --seed is seed 0
+    assert reports[0] == reports[1]
 
 
 def test_eval_wav_prediction(workdir):

@@ -116,3 +116,22 @@ def test_softmax_saturation():
     z[0, 3] = 50.0
     p = softmax_rows(z)
     assert p[0, 3] >= 1.0 - 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.37, 1.0, 4.0])
+def test_total_equals_separate_terms(lam):
+    # the shared softmax must leave both terms as the separate functions give
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((12, 200)) * 3
+    targets = rng.integers(0, 200, 12)
+    f_true = rng.uniform(100, 1000, 12)
+    mask = rng.random(12) < 0.7
+    ce, d_ce = loss_ce(z, targets, mask)
+    cents, d_cents = loss_cents(z, f_true, GRID, mask)
+    total, d, ce_out, cents_out = loss_total(z, targets, f_true, GRID, mask,
+                                             lam=lam)
+    assert abs(ce_out - ce) <= 1e-12
+    if lam:
+        assert abs(cents_out - cents) <= 1e-12
+    assert abs(total - (ce + lam * cents)) <= 1e-12
+    assert np.abs(d - (d_ce + lam * d_cents)).max() <= 1e-12

@@ -205,6 +205,99 @@ def test_conv_forward_matches_direct_sum(layer, dtype):
     assert np.all(np.abs(out - expected) <= 64 * np.finfo(dtype).eps * abs_sum)
 
 
+def direct_sum_conv_backward(x, w, d):
+    """float64 oracle of the conv's gradients, each with the sum of |terms|:
+    dx[b,t,f,c] = sum_{i,j,o} d[b,t+PAD-i,f+PAD-j,o] w[o,c,i,j],
+    dw[o,c,i,j] = sum_{b,t,f} d[b,t,f,o] xp[b,t+i,f+j,c], db[o] = sum d."""
+    x, w, d = (a.astype(np.float64) for a in (x, w, d))
+    b, t, f, _ = x.shape
+    pad = net.PAD
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    dp = np.pad(d, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    dx, dx_abs = np.zeros_like(x), np.zeros_like(x)
+    dw, dw_abs = np.zeros_like(w), np.zeros_like(w)
+    for i in range(net.KERNEL):
+        for j in range(net.KERNEL):
+            grad = dp[:, 2 * pad - i:2 * pad - i + t, 2 * pad - j:2 * pad - j + f]
+            dx += np.einsum("btfo,oc->btfc", grad, w[:, :, i, j])
+            dx_abs += np.einsum("btfo,oc->btfc", np.abs(grad),
+                                np.abs(w[:, :, i, j]))
+            window = xp[:, i:i + t, j:j + f]
+            dw[:, :, i, j] = np.einsum("btfo,btfc->oc", d, window)
+            dw_abs[:, :, i, j] = np.einsum("btfo,btfc->oc", np.abs(d),
+                                           np.abs(window))
+    return (dx, dx_abs), (dw, dw_abs), (d.sum(axis=(0, 1, 2)),
+                                        np.abs(d).sum(axis=(0, 1, 2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", range(len(net.CHANNEL_PLAN) - 1))
+def test_conv_backward_matches_direct_sum(layer, dtype):
+    # dx runs on the forward kernels of the transposed shape, dw on flat row
+    # views (one GEMM when c_out = 1); all must agree with the plain sums
+    rng = np.random.default_rng(10 + layer)
+    c_in, c_out = net.CHANNEL_PLAN[layer], net.CHANNEL_PLAN[layer + 1]
+    x = rng.standard_normal((3, 9, 21, c_in)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, net.KERNEL, net.KERNEL)).astype(dtype)
+    d = rng.standard_normal((3, 9, 21, c_out)).astype(dtype)
+    grads = net._conv_backward(x, w, d)
+    for name, got, (expected, abs_sum) in zip(
+            ("dx", "dw", "db"), grads, direct_sum_conv_backward(x, w, d)):
+        assert got.shape == expected.shape and got.dtype == dtype, name
+        # the rounding bound of test_conv_forward_matches_direct_sum
+        assert np.all(np.abs(got - expected)
+                      <= 64 * np.finfo(dtype).eps * abs_sum), name
+
+
+def reference_bn_forward(x, gamma, beta, run_mean, run_var, train):
+    """Batch norm by the textbook formulas, as a float64 oracle."""
+    if train:
+        mean = x.mean(axis=(0, 1, 2))
+        var = x.var(axis=(0, 1, 2))
+        run_mean = (1.0 - net.BN_MOMENTUM) * run_mean + net.BN_MOMENTUM * mean
+        run_var = (1.0 - net.BN_MOMENTUM) * run_var + net.BN_MOMENTUM * var
+    else:
+        mean, var = run_mean, run_var
+    inv_std = 1.0 / np.sqrt(var + net.BN_EPS)
+    x_hat = (x - mean) * inv_std
+    return gamma * x_hat + beta, x_hat, inv_std, run_mean, run_var
+
+
+def reference_bn_backward(d_out, x_hat, inv_std, gamma):
+    n = x_hat.shape[0] * x_hat.shape[1] * x_hat.shape[2]
+    d_gamma = (d_out * x_hat).sum(axis=(0, 1, 2))
+    d_beta = d_out.sum(axis=(0, 1, 2))
+    d_xhat = d_out * gamma
+    dx = (inv_std / n) * (n * d_xhat
+                          - d_xhat.sum(axis=(0, 1, 2))
+                          - x_hat * (d_xhat * x_hat).sum(axis=(0, 1, 2)))
+    return dx, d_gamma, d_beta
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("c", [1, 8, 64])
+def test_batch_norm_matches_reference(train, c):
+    rng = np.random.default_rng(c)
+    x = rng.normal(0.7, 2.0, (3, 9, 21, c))
+    x_before = x.copy()
+    gamma, beta = rng.uniform(0.5, 1.5, c), rng.normal(0.0, 0.3, c)
+    run_mean, run_var = rng.normal(0.0, 0.3, c), rng.uniform(0.5, 2.0, c)
+    y_ref, x_hat_ref, inv_std_ref, mean_ref, var_ref = reference_bn_forward(
+        x, gamma, beta, run_mean, run_var, train)
+    y, (x_hat, inv_std) = net._bn_forward(x, gamma, beta, run_mean, run_var,
+                                          train, update_running=True)
+    assert np.array_equal(x, x_before)
+    for got, expected in ((y, y_ref), (x_hat, x_hat_ref),
+                          (inv_std, inv_std_ref), (run_mean, mean_ref),
+                          (run_var, var_ref)):
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+    d = rng.standard_normal(x.shape)
+    for got, expected in zip(net._bn_backward(d, x_hat, inv_std, gamma),
+                             reference_bn_backward(d, x_hat_ref, inv_std_ref,
+                                                   gamma)):
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
 def random_bn_params(seed, dtype):
     """init_params with non-trivial conv biases and batch-norm statistics."""
     rng = np.random.default_rng(seed)

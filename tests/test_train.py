@@ -125,6 +125,13 @@ def test_bad_training_arguments_rejected(field, value):
         train_loop(tiny_corpus(1), cfg)
 
 
+@pytest.mark.parametrize("lam", [-5.0, -1e-9, float("nan"), float("inf")])
+def test_bad_loss_weight_rejected(lam):
+    cfg = TrainConfig(epochs=1, batch_size=2, lam=lam)
+    with pytest.raises(ArgumentError, match="lam"):
+        train_loop(tiny_corpus(1), cfg)
+
+
 def test_truth_hop_other_than_stft_hop_rejected():
     # a 10 ms contour must not be indexed as 16 ms frames
     from pitchkit.audio_io import PitchContour
