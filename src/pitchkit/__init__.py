@@ -7,8 +7,8 @@ corpus generator with exact ground-truth F0.
 from .audio_io import (AudioBuffer, PitchContour, read_contour_csv, read_wav,
                        resample_linear, write_contour_csv, write_wav)
 from .decode import DecoderConfig, decode_contour, decode_frame
-from .dsp import Spectrogram, StftConfig, spectrogram
-from .grid import PitchGrid, cents_error
+from .dsp import Spectrogram, spectrogram
+from .grid import cents_error
 from .metrics import EvalReport, evaluate, evaluate_noisy
 from .model import ModelParams, count_params, init_params, load_params, save_params
 from .pipeline import analyze, make_estimator
@@ -19,10 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer", "PitchContour", "read_wav", "write_wav", "resample_linear",
-    "read_contour_csv", "write_contour_csv", "Spectrogram", "StftConfig",
-    "spectrogram", "PitchGrid", "cents_error", "ModelParams", "init_params",
-    "count_params", "save_params", "load_params", "DecoderConfig",
-    "decode_frame", "decode_contour", "EvalReport", "evaluate",
-    "evaluate_noisy", "SynthSpec", "synth_example", "TrainConfig",
-    "train_loop", "analyze", "make_estimator",
+    "read_contour_csv", "write_contour_csv", "Spectrogram", "spectrogram",
+    "cents_error", "ModelParams", "init_params", "count_params",
+    "save_params", "load_params", "DecoderConfig", "decode_frame",
+    "decode_contour", "EvalReport", "evaluate", "evaluate_noisy", "SynthSpec",
+    "synth_example", "TrainConfig", "train_loop", "analyze", "make_estimator",
 ]

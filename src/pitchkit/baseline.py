@@ -4,27 +4,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio_io import AudioBuffer, PitchContour, resample_linear
-from .dsp import StftConfig
+from .audio_io import (CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer,
+                       PitchContour, resample_linear)
+from .dsp import WINDOW
 from .errors import InputTooShort
+from .grid import F_MAX_HZ, F_MIN_HZ
 
 
-def acf_contour(buf: AudioBuffer, stft_cfg: StftConfig | None = None,
-                voicing_threshold: float = 0.5) -> PitchContour:
-    """Per-frame normalized autocorrelation peak over the pitch lag range.
+def acf_contour(buf: AudioBuffer) -> PitchContour:
+    """Per-frame normalized autocorrelation peak over the pitch lag range,
+    on the front-end's frames (WINDOW samples, HOP apart, at CANONICAL_SR).
 
-    Confidence is the normalized peak height; parabolic interpolation
-    refines the lag.
+    Confidence is the normalized peak height, and a frame is voiced when it
+    reaches 0.5; parabolic interpolation refines the lag.
     """
-    cfg = stft_cfg or StftConfig()
-    if buf.sample_rate_hz != cfg.sample_rate_hz:
-        buf = resample_linear(buf, cfg.sample_rate_hz)
+    if buf.sample_rate_hz != CANONICAL_SR:
+        buf = resample_linear(buf, CANONICAL_SR)
     x = buf.samples
-    n, h, sr = cfg.window_len, cfg.hop, cfg.sample_rate_hz
+    n, h, sr = WINDOW, HOP, CANONICAL_SR
     if len(x) < n:
         raise InputTooShort(f"need at least {n} samples")
-    lag_min = max(int(np.floor(sr / cfg.f_max)), 2)
-    lag_max = min(int(np.ceil(sr / cfg.f_min)), n - 2)
+    lag_min = max(int(np.floor(sr / F_MAX_HZ)), 2)
+    lag_max = min(int(np.ceil(sr / F_MIN_HZ)), n - 2)
 
     t = (len(x) - n) // h + 1
     f0 = np.full(t, np.nan)
@@ -49,6 +50,6 @@ def acf_contour(buf: AudioBuffer, stft_cfg: StftConfig | None = None,
                 lag = lag + 0.5 * (a - c) / denom
         f0[m] = sr / lag
         conf[m] = max(min(peak, 1.0), 0.0)
-    voiced = conf >= voicing_threshold
-    return PitchContour(hop_seconds=cfg.hop_seconds, f0_hz=f0,
+    voiced = conf >= 0.5
+    return PitchContour(hop_seconds=HOP_SECONDS, f0_hz=f0,
                         confidence=conf, voiced=voiced)

@@ -196,6 +196,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ArgumentError(f"--count must be >= 1, got {args.count}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)

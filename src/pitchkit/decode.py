@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import PitchContour
+from .audio_io import HOP_SECONDS, PitchContour
 from .errors import ArgumentError
-from .grid import PitchGrid
+from .grid import CENTERS, N_BINS
 from .losses import softmax_rows
 
 
@@ -26,7 +26,7 @@ class DecoderConfig:
             raise ArgumentError("voicing_threshold must be in [0, 1]")
 
 
-def decode_probs(probs: np.ndarray, grid: PitchGrid, cfg: DecoderConfig):
+def decode_probs(probs: np.ndarray, cfg: DecoderConfig):
     """Vectorized per-frame decode of a (T, B) probability matrix.
 
     Returns (f_hat, confidence, voiced). The window always spans exactly
@@ -49,20 +49,20 @@ def decode_probs(probs: np.ndarray, grid: PitchGrid, cfg: DecoderConfig):
     in_window = (cols >= lo[:, None]) & (cols <= hi[:, None])
     windowed = np.where(in_window, probs, 0.0)
     mass = windowed.sum(axis=1)
-    f_hat = (windowed @ grid.centers) / mass
+    f_hat = (windowed @ CENTERS) / mass
     conf = np.minimum(mass, 1.0)  # guard against float sums a hair over 1
     voiced = conf >= cfg.voicing_threshold
     return f_hat, conf, voiced
 
 
-def decode_frame(probs_row: np.ndarray, grid: PitchGrid, cfg: DecoderConfig):
-    f, c, v = decode_probs(np.asarray(probs_row)[None, :], grid, cfg)
+def decode_frame(probs_row: np.ndarray, cfg: DecoderConfig):
+    f, c, v = decode_probs(np.asarray(probs_row)[None, :], cfg)
     return float(f[0]), float(c[0]), bool(v[0])
 
 
-def decode_contour(logits: np.ndarray, grid: PitchGrid, cfg: DecoderConfig,
-                   hop_seconds: float) -> PitchContour:
-    probs = softmax_rows(logits) if len(logits) else np.zeros((0, grid.n_bins))
-    f_hat, conf, voiced = decode_probs(probs, grid, cfg)
-    return PitchContour(hop_seconds=hop_seconds, f0_hz=f_hat,
+def decode_contour(logits: np.ndarray, cfg: DecoderConfig) -> PitchContour:
+    """(T, N_BINS) logits -> contour on the front-end's HOP_SECONDS grid."""
+    probs = softmax_rows(logits) if len(logits) else np.zeros((0, N_BINS))
+    f_hat, conf, voiced = decode_probs(probs, cfg)
+    return PitchContour(hop_seconds=HOP_SECONDS, f0_hz=f_hat,
                         confidence=conf, voiced=voiced)

@@ -1,12 +1,17 @@
 """Spectral front-end: Hann STFT, pitch-band selection, log compression.
 
+The front-end is the one the model was trained on, so it is fixed and
+stated once, as module constants: 16 kHz audio (`audio_io.CANONICAL_SR`),
+a WINDOW of N = 1024 samples with its read-only HANN window, a hop of 256
+samples (`audio_io.HOP`), and FFT bins K_MIN..K_MAX = 3..134, the ends of
+the pitch grid (46.875-2093.75 Hz), so N_BANDS = 132. Audio at another rate
+is resampled before it reaches this module.
+
 One path serves training and inference: `batch_spectrogram` frames the last
 axis of any (..., L) sample array into hop-spaced Hann frames (a strided
 view, no gather), runs the FFT over every frame at once, and keeps the log
-magnitude of the pitch band, giving (..., T, K). `spectrogram` calls it on
-one buffer, `train_loop` on a (B, L) batch of segments. The front-end the
-model was built for is fixed: 16 kHz, N = 1024, hop 256, and FFT bins 3-134
-(46.875-2093.75 Hz), so K = 132.
+magnitude of the pitch band, giving (..., T, N_BANDS). `spectrogram` calls
+it on one buffer, `train_loop` on a (B, L) batch of segments.
 
 The FFT packs N real samples into m = N/2 complex points, transforms them
 with a four-step (Bailey) FFT and untwiddles the result into the real
@@ -26,48 +31,16 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import CANONICAL_SR, HOP, AudioBuffer
+from .audio_io import CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer
 from .errors import ArgumentError, DomainError, InputTooShort, ShapeError
 from .grid import F_MAX_HZ, F_MIN_HZ
 
-
-@dataclass(frozen=True)
-class StftConfig:
-    window_len: int = 1024
-    hop: int = HOP
-    sample_rate_hz: int = CANONICAL_SR
-    f_min: float = F_MIN_HZ
-    f_max: float = F_MAX_HZ
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        n = self.window_len
-        if n < 2 or n & (n - 1):
-            raise ArgumentError("window_len must be a power of two >= 2")
-        if self.hop <= 0 or n % self.hop:
-            raise ArgumentError("hop must divide window_len")
-        if not (0 < self.f_min < self.f_max < self.sample_rate_hz / 2):
-            raise ArgumentError("need 0 < f_min < f_max < Nyquist")
-
-    @property
-    def k_min(self) -> int:
-        return int(round(self.f_min * self.window_len / self.sample_rate_hz))
-
-    @property
-    def k_max(self) -> int:
-        return int(round(self.f_max * self.window_len / self.sample_rate_hz))
-
-    @property
-    def n_bands(self) -> int:
-        return self.k_max - self.k_min + 1
-
-    @property
-    def hop_seconds(self) -> float:
-        return self.hop / self.sample_rate_hz
-
-    @property
-    def bin_hz(self) -> float:
-        return self.sample_rate_hz / self.window_len
+WINDOW = 1024
+# the FFT bins nearest the ends of the pitch grid: 3 and 134
+K_MIN = round(F_MIN_HZ * WINDOW / CANONICAL_SR)
+K_MAX = round(F_MAX_HZ * WINDOW / CANONICAL_SR)
+N_BANDS = K_MAX - K_MIN + 1
+LOG_EPSILON = 1e-8
 
 
 @dataclass
@@ -76,7 +49,6 @@ class Spectrogram:
 
     values: np.ndarray       # (T, K)
     frame_times: np.ndarray  # (T,), seconds
-    config: StftConfig
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -84,6 +56,10 @@ def hann_window(n: int) -> np.ndarray:
     if n < 2:
         raise ArgumentError("window length must be >= 2")
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+
+
+HANN = hann_window(WINDOW)
+HANN.flags.writeable = False
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -142,38 +118,38 @@ def rfft_radix2(frames: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (m + 1,))
 
 
-def _samples(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
-    if buf.sample_rate_hz != cfg.sample_rate_hz:
+def _samples(buf: AudioBuffer) -> np.ndarray:
+    if buf.sample_rate_hz != CANONICAL_SR:
         raise ArgumentError(
-            f"buffer rate {buf.sample_rate_hz} != config rate {cfg.sample_rate_hz}")
+            f"buffer rate {buf.sample_rate_hz} != front-end rate {CANONICAL_SR}")
     return buf.samples
 
 
-def _magnitude(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
+def _magnitude(samples: np.ndarray) -> np.ndarray:
     """(..., L) samples -> (..., T, N/2+1) magnitudes of left-aligned,
-    unpadded Hann frames, hop samples apart."""
-    n = cfg.window_len
+    unpadded Hann frames, HOP samples apart."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1] < n:
-        raise InputTooShort(f"need at least {n} samples, got {samples.shape[-1]}")
-    frames = sliding_window_view(samples, n, axis=-1)[..., ::cfg.hop, :]
-    return np.abs(rfft_radix2(frames * hann_window(n)))
+    if samples.shape[-1] < WINDOW:
+        raise InputTooShort(
+            f"need at least {WINDOW} samples, got {samples.shape[-1]}")
+    frames = sliding_window_view(samples, WINDOW, axis=-1)[..., ::HOP, :]
+    return np.abs(rfft_radix2(frames * HANN))
 
 
-def stft_magnitude(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
+def stft_magnitude(buf: AudioBuffer) -> np.ndarray:
     """Magnitude STFT, shape (T, N/2+1); frames left-aligned, no padding."""
-    return _magnitude(_samples(buf, cfg), cfg)
+    return _magnitude(_samples(buf))
 
 
-def band_select(full: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Keep columns k_min..k_max inclusive of the half spectrum (last axis)."""
-    expected = cfg.window_len // 2 + 1
+def band_select(full: np.ndarray) -> np.ndarray:
+    """Keep columns K_MIN..K_MAX inclusive of the half spectrum (last axis)."""
+    expected = WINDOW // 2 + 1
     if full.ndim < 1 or full.shape[-1] != expected:
         raise ShapeError(f"expected (..., {expected}), got {full.shape}")
-    return full[..., cfg.k_min:cfg.k_max + 1]
+    return full[..., K_MIN:K_MAX + 1]
 
 
-def log_compress(mag: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
+def log_compress(mag: np.ndarray, epsilon: float = LOG_EPSILON) -> np.ndarray:
     """Elementwise log(mag + epsilon)."""
     mag = np.asarray(mag)
     if np.any(mag < 0):
@@ -181,14 +157,14 @@ def log_compress(mag: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
     return np.log(mag + epsilon)
 
 
-def batch_spectrogram(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """(..., L) samples at cfg's rate -> (..., T, K) log band magnitudes."""
-    return log_compress(band_select(_magnitude(samples, cfg), cfg), cfg.epsilon)
+def batch_spectrogram(samples: np.ndarray) -> np.ndarray:
+    """(..., L) samples at CANONICAL_SR -> (..., T, N_BANDS) log band
+    magnitudes."""
+    return log_compress(band_select(_magnitude(samples)))
 
 
-def spectrogram(buf: AudioBuffer, cfg: StftConfig | None = None) -> Spectrogram:
+def spectrogram(buf: AudioBuffer) -> Spectrogram:
     """Full front-end of one buffer: `batch_spectrogram` plus frame times."""
-    cfg = cfg or StftConfig()
-    values = batch_spectrogram(_samples(buf, cfg), cfg)
-    times = np.arange(values.shape[0]) * cfg.hop_seconds
-    return Spectrogram(values=values, frame_times=times, config=cfg)
+    values = batch_spectrogram(_samples(buf))
+    times = np.arange(values.shape[0]) * HOP_SECONDS
+    return Spectrogram(values=values, frame_times=times)

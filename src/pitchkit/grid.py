@@ -1,53 +1,40 @@
-"""Logarithmic pitch-bin grid and cents arithmetic.
+"""The model's fixed logarithmic pitch grid, and cents arithmetic.
 
-Shared by training targets, decoding, and the evaluation metrics.
+The network scores N_BINS pitch bins, log-spaced from F_MIN_HZ to F_MAX_HZ
+(the centres of FFT bins 3 and 134 of the 1024-point, 16 kHz front-end in
+`dsp`). The grid is part of the trained model, so it is fixed: these
+constants serve the training targets, the losses and the decoder alike.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-# the pitch range: FFT bins 3 and 134 of the 1024-point, 16 kHz front-end
 F_MIN_HZ = 46.875
 F_MAX_HZ = 2093.75
+N_BINS = 200
+LOG2_STEP = np.log2(F_MAX_HZ / F_MIN_HZ) / (N_BINS - 1)
+CENTS_PER_BIN = 1200.0 * LOG2_STEP
+CENTERS = F_MIN_HZ * 2.0 ** (np.arange(N_BINS) * LOG2_STEP)
+CENTERS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PitchGrid:
-    n_bins: int = 200
-    f_min: float = F_MIN_HZ
-    f_max: float = F_MAX_HZ
+def bin_center(b: int) -> float:
+    if not 0 <= b < N_BINS:
+        raise IndexError(f"bin {b} outside [0, {N_BINS})")
+    return float(CENTERS[b])
 
-    @property
-    def log2_step(self) -> float:
-        return np.log2(self.f_max / self.f_min) / (self.n_bins - 1)
 
-    @property
-    def centers(self) -> np.ndarray:
-        b = np.arange(self.n_bins)
-        return self.f_min * 2.0 ** (b * self.log2_step)
-
-    @property
-    def cents_per_bin(self) -> float:
-        return 1200.0 * self.log2_step
-
-    def bin_center(self, b: int) -> float:
-        if not 0 <= b < self.n_bins:
-            raise IndexError(f"bin {b} outside [0, {self.n_bins})")
-        return self.f_min * 2.0 ** (b * self.log2_step)
-
-    def freq_to_bin(self, f) -> np.ndarray | int:
-        """Nearest bin index in log2 space, clamped to the grid range."""
-        f = np.asarray(f, dtype=np.float64)
-        if np.any(f <= 0):
-            raise DomainError("frequency must be positive")
-        raw = np.log2(f / self.f_min) / self.log2_step
-        b = np.floor(raw + 0.5).astype(np.int64)  # ties away from zero (raw >= 0 or clamped)
-        b = np.clip(b, 0, self.n_bins - 1)
-        return int(b) if b.ndim == 0 else b
+def freq_to_bin(f) -> np.ndarray | int:
+    """Nearest bin index in log2 space, clamped to the grid range."""
+    f = np.asarray(f, dtype=np.float64)
+    if np.any(f <= 0):
+        raise DomainError("frequency must be positive")
+    raw = np.log2(f / F_MIN_HZ) / LOG2_STEP
+    b = np.floor(raw + 0.5).astype(np.int64)  # ties away from zero (raw >= 0 or clamped)
+    b = np.clip(b, 0, N_BINS - 1)
+    return int(b) if b.ndim == 0 else b
 
 
 def cents_error(f_pred, f_true):

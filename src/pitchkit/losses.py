@@ -7,7 +7,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyBatchError
-from .grid import PitchGrid
+from .grid import CENTERS
+
+_LOG_CENTERS = np.log(CENTERS)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -36,15 +38,14 @@ def _ce_of_probs(probs, target_bins, rows):
     return loss, d
 
 
-def _cents_of_probs(probs, f_true, grid: PitchGrid, rows):
-    log_centers = np.log(grid.centers)
-    f_log = probs @ log_centers                      # (T,)
+def _cents_of_probs(probs, f_true, rows):
+    f_log = probs @ _LOG_CENTERS                     # (T,)
     residual = f_log - np.log(np.asarray(f_true, dtype=np.float64))
     loss = float(np.abs(residual[rows]).mean())
     d = np.zeros_like(probs)
     sign = np.sign(residual[rows])[:, None]
     # d f_log / d z_c = p_c * (log f_c - f_log)
-    d[rows] = sign * probs[rows] * (log_centers[None, :] - f_log[rows, None])
+    d[rows] = sign * probs[rows] * (_LOG_CENTERS[None, :] - f_log[rows, None])
     d /= len(rows)
     return loss, d
 
@@ -55,15 +56,14 @@ def loss_ce(logits: np.ndarray, target_bins: np.ndarray, voiced_mask: np.ndarray
     return _ce_of_probs(softmax_rows(logits), target_bins, rows)
 
 
-def loss_cents(logits: np.ndarray, f_true: np.ndarray, grid: PitchGrid,
+def loss_cents(logits: np.ndarray, f_true: np.ndarray,
                voiced_mask: np.ndarray):
     """L1 distance between expected log-frequency and log of the truth."""
     rows = _voiced_rows(voiced_mask)
-    return _cents_of_probs(softmax_rows(logits), f_true, grid, rows)
+    return _cents_of_probs(softmax_rows(logits), f_true, rows)
 
 
-def loss_total(logits, target_bins, f_true, grid: PitchGrid, voiced_mask,
-               lam: float = 1.0):
+def loss_total(logits, target_bins, f_true, voiced_mask, lam: float = 1.0):
     """Classification + lam * regression; gradients add. The softmax is
     computed once and shared by both terms."""
     rows = _voiced_rows(voiced_mask)
@@ -71,5 +71,5 @@ def loss_total(logits, target_bins, f_true, grid: PitchGrid, voiced_mask,
     ce, d_ce = _ce_of_probs(probs, target_bins, rows)
     if lam == 0.0:
         return ce, d_ce, ce, 0.0
-    cents, d_cents = _cents_of_probs(probs, f_true, grid, rows)
+    cents, d_cents = _cents_of_probs(probs, f_true, rows)
     return ce + lam * cents, d_ce + lam * d_cents, ce, cents

@@ -44,15 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Spectrogram, StftConfig
+from .dsp import N_BANDS, Spectrogram
 from .errors import FormatError, ShapeError, StateError
-from .grid import PitchGrid
+from .grid import N_BINS
 
 CHANNEL_PLAN = [1, 8, 16, 32, 64, 1]
 KERNEL = 5
 PAD = KERNEL // 2
-N_BANDS = StftConfig().n_bands
-N_PITCH_BINS = PitchGrid().n_bins
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 # eval-mode block length in frames, and the context each block needs on
@@ -114,8 +112,8 @@ def init_params(seed: int, dtype=np.float32) -> ModelParams:
         mean.append(np.zeros(c_out, dtype=dtype))
         var.append(np.ones(c_out, dtype=dtype))
     bound = np.sqrt(6.0 / N_BANDS)
-    proj_w = rng.uniform(-bound, bound, (N_PITCH_BINS, N_BANDS)).astype(dtype)
-    proj_b = np.zeros(N_PITCH_BINS, dtype=dtype)
+    proj_w = rng.uniform(-bound, bound, (N_BINS, N_BANDS)).astype(dtype)
+    proj_b = np.zeros(N_BINS, dtype=dtype)
     return ModelParams(conv_w, conv_b, gamma, beta, mean, var, proj_w, proj_b)
 
 
@@ -328,7 +326,7 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
     d_logits = np.asarray(d_logits, dtype=p.dtype)
     feat = cache["feat"]
     grads = {}
-    d_flat = d_logits.reshape(-1, N_PITCH_BINS)
+    d_flat = d_logits.reshape(-1, N_BINS)
     grads["proj.weight"] = d_flat.T @ feat.reshape(-1, N_BANDS)
     grads["proj.bias"] = d_flat.sum(axis=0)
     d_h = (d_logits @ p.proj_w)[..., None]  # (B, T, F, 1)
@@ -344,21 +342,19 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
     return grads, d_h[..., 0]
 
 
-def forward(p: ModelParams, spec: Spectrogram | np.ndarray, mode: str = "eval"):
-    """Single-spectrogram entry point: (T, 132) -> (logits (T, 200), cache).
+def forward(p: ModelParams, spec: Spectrogram | np.ndarray):
+    """Eval-mode inference on one spectrogram: (T, 132) -> (logits (T, 200),
+    cache). Training goes through `forward_batch`.
 
-    Eval mode runs the spectrogram in blocks of CHUNK frames (one call when
-    it is no longer); the result equals one whole-sequence eval
-    `forward_batch` bit for bit.
+    The spectrogram runs in blocks of CHUNK frames (one call when it is no
+    longer); the result equals one whole-sequence eval `forward_batch` bit
+    for bit.
     """
     values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec)
     if values.ndim != 2 or values.shape[1] != N_BANDS:
         raise ShapeError(f"expected (T, {N_BANDS}), got {values.shape}")
-    if mode == "train":
-        logits, cache = forward_batch(p, values[None], train=True)
-        return logits[0], cache
     t = len(values)
-    logits = np.empty((t, N_PITCH_BINS), dtype=p.dtype)
+    logits = np.empty((t, N_BINS), dtype=p.dtype)
     feat = np.empty((1, t, N_BANDS), dtype=p.dtype)
     for lo in range(0, t, CHUNK):
         hi = min(lo + CHUNK, t)
@@ -448,6 +444,6 @@ def load_params(path, dtype=np.float32) -> ModelParams:
         if w.shape != (c_out, c_in, KERNEL, KERNEL):
             raise ShapeError(f"{path}: conv kernel shape {w.shape} does not "
                              f"match architecture")
-    if p.proj_w.shape != (N_PITCH_BINS, N_BANDS):
+    if p.proj_w.shape != (N_BINS, N_BANDS):
         raise ShapeError(f"{path}: projection shape {p.proj_w.shape}")
     return p

@@ -1,33 +1,25 @@
 """End-to-end estimator: audio -> spectrogram -> network -> contour."""
 from __future__ import annotations
 
-import numpy as np
-
 from . import model as net
-from .audio_io import AudioBuffer, PitchContour, resample_linear
+from .audio_io import CANONICAL_SR, AudioBuffer, PitchContour, resample_linear
 from .decode import DecoderConfig, decode_contour
-from .dsp import StftConfig, spectrogram
-from .grid import PitchGrid
+from .dsp import spectrogram
 
 
 def analyze(buf: AudioBuffer, params: net.ModelParams,
-            stft_cfg: StftConfig | None = None,
-            grid: PitchGrid | None = None,
             dec_cfg: DecoderConfig | None = None) -> PitchContour:
-    """Estimate the pitch contour of an audio buffer."""
-    stft_cfg = stft_cfg or StftConfig()
-    grid = grid or PitchGrid()
+    """Estimate the pitch contour of an audio buffer at any sample rate."""
     dec_cfg = dec_cfg or DecoderConfig()
-    if buf.sample_rate_hz != stft_cfg.sample_rate_hz:
-        buf = resample_linear(buf, stft_cfg.sample_rate_hz)
-    spec = spectrogram(buf, stft_cfg)
-    logits, _ = net.forward(params, spec, mode="eval")
-    return decode_contour(logits, grid, dec_cfg, stft_cfg.hop_seconds)
+    if buf.sample_rate_hz != CANONICAL_SR:
+        buf = resample_linear(buf, CANONICAL_SR)
+    logits, _ = net.forward(params, spectrogram(buf))
+    return decode_contour(logits, dec_cfg)
 
 
-def make_estimator(params: net.ModelParams, stft_cfg=None, grid=None,
-                   dec_cfg=None):
-    """Bind configs into an AudioBuffer -> PitchContour callable."""
+def make_estimator(params: net.ModelParams, dec_cfg=None):
+    """Bind the weights and decoder into an AudioBuffer -> PitchContour
+    callable."""
     def run(buf: AudioBuffer) -> PitchContour:
-        return analyze(buf, params, stft_cfg, grid, dec_cfg)
+        return analyze(buf, params, dec_cfg)
     return run

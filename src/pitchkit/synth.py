@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import CANONICAL_SR, AudioBuffer, PitchContour
-from .dsp import StftConfig
+from .audio_io import CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer, PitchContour
+from .dsp import WINDOW
 from .errors import ArgumentError
 from .grid import F_MAX_HZ, F_MIN_HZ
 
@@ -27,7 +27,6 @@ class SynthSpec:
     n_harmonics: int = 5
     rolloff: float = 1.0            # amplitude of harmonic h is h**-rolloff
     duration_s: float = 1.0
-    sample_rate_hz: int = CANONICAL_SR
     phase0: float = 0.0
 
 
@@ -48,21 +47,20 @@ def f0_trajectory(spec: SynthSpec, t: np.ndarray) -> np.ndarray:
     return f0
 
 
-def synth_example(spec: SynthSpec, cfg: StftConfig | None = None):
-    """Render the signal and its exact hop-grid contour.
+def synth_example(spec: SynthSpec):
+    """Render the signal at CANONICAL_SR and its exact hop-grid contour.
 
     Returns (AudioBuffer, PitchContour); raises ArgumentError for a clip
     shorter than one analysis window. Contour frame m carries the
     instantaneous F0 at the center of analysis frame m (samples
-    [m*hop, m*hop + window)), timestamped at m*hop/fs.
+    [m*HOP, m*HOP + WINDOW)), timestamped at m*HOP_SECONDS.
     """
-    cfg = cfg or StftConfig()
-    sr = spec.sample_rate_hz
+    sr = CANONICAL_SR
     n = int(round(spec.duration_s * sr))
-    if n < cfg.window_len:
+    if n < WINDOW:
         # the truth contour would have no frame
         raise ArgumentError(f"{n} samples is shorter than one "
-                            f"{cfg.window_len}-sample analysis window")
+                            f"{WINDOW}-sample analysis window")
     t = np.arange(n) / sr
     f0 = f0_trajectory(spec, t)
     if np.any(f0 < F_MIN_HZ) or np.any(f0 > F_MAX_HZ):
@@ -79,11 +77,10 @@ def synth_example(spec: SynthSpec, cfg: StftConfig | None = None):
         sig *= 0.9 / peak
     buf = AudioBuffer(sig, sr)
 
-    n_frames = max((n - cfg.window_len) // cfg.hop + 1, 0)
-    centers = np.arange(n_frames) * cfg.hop + cfg.window_len // 2
-    centers = np.minimum(centers, n - 1)
+    n_frames = (n - WINDOW) // HOP + 1
+    centers = np.arange(n_frames) * HOP + WINDOW // 2
     truth = PitchContour(
-        hop_seconds=cfg.hop_seconds,
+        hop_seconds=HOP_SECONDS,
         f0_hz=f0[centers],
         confidence=np.ones(n_frames),
         voiced=np.ones(n_frames, dtype=bool),

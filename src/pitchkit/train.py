@@ -11,30 +11,31 @@ import numpy as np
 
 from . import model as net
 from .augment import AugmentConfig, augment
-from .audio_io import AudioBuffer, PitchContour, resample_linear
-from .dsp import StftConfig, batch_spectrogram
+from .audio_io import (CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer,
+                       PitchContour, resample_linear)
+from .dsp import WINDOW, batch_spectrogram
 from .errors import AlignmentError, ArgumentError, DivergenceError, SkipExample
-from .grid import PitchGrid
+from .grid import F_MIN_HZ, N_BINS, freq_to_bin
 from .losses import loss_total
 from .metrics import HOP_MATCH_S
 
 SEGMENT_SECONDS = 0.5
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class TrainConfig:
     seed: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 10
     lam: float = 1.0
     gain_db_range: tuple = (-6.0, 6.0)
     snr_db_range: tuple = (10.0, 30.0)
     noise_signals: list = field(default_factory=list)
-    dtype: type = np.float32
 
 
 class Adam:
@@ -47,60 +48,58 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
-        c = self.cfg
+        lr = self.cfg.lr
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in params.items():
             g = grads[name].astype(p.dtype)
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            self.m[name] = c.beta1 * self.m[name] + (1 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1 - c.beta2) * g * g
-            p -= (c.lr * (self.m[name] / bc1)
-                  / (np.sqrt(self.v[name] / bc2) + c.adam_eps)).astype(p.dtype)
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
+            p -= (lr * (self.m[name] / bc1)
+                  / (np.sqrt(self.v[name] / bc2) + ADAM_EPS)).astype(p.dtype)
 
 
-def extract_segment(buf: AudioBuffer, truth: PitchContour, rng,
-                    stft_cfg: StftConfig):
-    """Random hop-aligned 0.5 s window centered on a voiced frame.
+def extract_segment(buf: AudioBuffer, truth: PitchContour, rng):
+    """Random hop-aligned 0.5 s window centered on a voiced frame of a
+    CANONICAL_SR buffer.
 
     Returns (segment samples, target f0 per segment frame, voiced mask).
     """
-    h, n = stft_cfg.hop, stft_cfg.window_len
-    seg_len = int(SEGMENT_SECONDS * stft_cfg.sample_rate_hz)
+    seg_len = int(SEGMENT_SECONDS * CANONICAL_SR)
     if len(buf.samples) < seg_len:
         raise SkipExample("file shorter than one training segment")
-    seg_frames = (seg_len - n) // h + 1
+    seg_frames = (seg_len - WINDOW) // HOP + 1
     voiced_idx = np.flatnonzero(truth.voiced)
     if len(voiced_idx) == 0:
         raise SkipExample("no voiced frames")
-    max_start_frame = min((len(buf.samples) - seg_len) // h,
+    max_start_frame = min((len(buf.samples) - seg_len) // HOP,
                           len(truth) - seg_frames)
     if max_start_frame < 0:
         raise SkipExample("truth contour shorter than one training segment")
     center = int(rng.choice(voiced_idx))
     start_frame = int(np.clip(center - seg_frames // 2, 0, max_start_frame))
-    s0 = start_frame * h
+    s0 = start_frame * HOP
     seg = buf.samples[s0:s0 + seg_len]
     idx = slice(start_frame, start_frame + seg_frames)
     return seg, truth.f0_hz[idx].copy(), truth.voiced[idx].copy()
 
 
-def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
-               grid: PitchGrid | None = None, params: net.ModelParams = None,
+def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                log_callback=None):
     """Train on (AudioBuffer, PitchContour) pairs.
 
-    Audio at another rate is resampled to the STFT rate once, before the
-    first epoch. Returns (params, history) where history is a list of
-    per-epoch dicts with keys epoch/loss/ce/cents. Raises ArgumentError for
-    a batch size or epoch count below 1, a learning rate that is not a
-    positive finite number, a loss weight lam that is not a non-negative
-    finite number, or an epoch that skips every example, so it
-    would take no step; raises AlignmentError when a truth contour's hop is
-    not the STFT hop.
+    Audio at another rate is resampled to CANONICAL_SR once, before the
+    first epoch; without `params`, training starts from new float32
+    weights. Returns (params, history) where history is a list of per-epoch
+    dicts with keys epoch/loss/ce/cents. Raises ArgumentError for a batch
+    size or epoch count below 1, a learning rate that is not a positive
+    finite number, a loss weight lam that is not a non-negative finite
+    number, or an epoch that skips every example, so it would take no step;
+    raises AlignmentError when a truth contour's hop is not HOP_SECONDS.
     """
     if cfg.batch_size < 1:
         raise ArgumentError(f"batch size must be >= 1, got {cfg.batch_size}")
@@ -116,19 +115,17 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
     corpus = list(corpus)
     if not corpus:
         raise ArgumentError("empty corpus")
-    stft_cfg = stft_cfg or StftConfig()
     for i, (_, truth) in enumerate(corpus):
-        if abs(truth.hop_seconds - stft_cfg.hop_seconds) > HOP_MATCH_S:
+        if abs(truth.hop_seconds - HOP_SECONDS) > HOP_MATCH_S:
             raise AlignmentError(
                 f"example {i}: truth hop {truth.hop_seconds} s is not the "
-                f"STFT hop {stft_cfg.hop_seconds} s")
-    rate = stft_cfg.sample_rate_hz
-    corpus = [(buf if buf.sample_rate_hz == rate else resample_linear(buf, rate),
-               truth) for buf, truth in corpus]
-    grid = grid or PitchGrid()
+                f"STFT hop {HOP_SECONDS} s")
+    corpus = [(buf if buf.sample_rate_hz == CANONICAL_SR
+               else resample_linear(buf, CANONICAL_SR), truth)
+              for buf, truth in corpus]
     rng = np.random.default_rng(cfg.seed)
     if params is None:
-        params = net.init_params(int(rng.integers(2 ** 31)), dtype=cfg.dtype)
+        params = net.init_params(int(rng.integers(2 ** 31)))
     aug_cfg = AugmentConfig(gain_db_range=cfg.gain_db_range,
                             snr_db_range=cfg.snr_db_range,
                             noise_signals=cfg.noise_signals)
@@ -145,7 +142,7 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
             for j in batch:
                 buf, truth = corpus[j]
                 try:
-                    seg, f0, mask = extract_segment(buf, truth, rng, stft_cfg)
+                    seg, f0, mask = extract_segment(buf, truth, rng)
                     seg = augment(seg, aug_cfg, rng)
                 except SkipExample:
                     skipped += 1
@@ -155,17 +152,17 @@ def train_loop(corpus, cfg: TrainConfig, stft_cfg: StftConfig | None = None,
                 masks.append(mask)
             if not segs:
                 continue
-            spec = batch_spectrogram(np.stack(segs), stft_cfg)
+            spec = batch_spectrogram(np.stack(segs))
             f0 = np.stack(f0s)
             mask = np.stack(masks)
             # frames with no defined pitch get a dummy target outside the loss
-            f0_safe = np.where(mask & np.isfinite(f0), f0, grid.f_min)
-            targets = grid.freq_to_bin(f0_safe.reshape(-1))
+            f0_safe = np.where(mask & np.isfinite(f0), f0, F_MIN_HZ)
+            targets = freq_to_bin(f0_safe.reshape(-1))
             logits, cache = net.forward_batch(params, spec, train=True)
-            flat = logits.reshape(-1, grid.n_bins)
+            flat = logits.reshape(-1, N_BINS)
             total, d_flat, ce, cents = loss_total(
-                flat, targets, f0_safe.reshape(-1), grid,
-                mask.reshape(-1), lam=cfg.lam)
+                flat, targets, f0_safe.reshape(-1), mask.reshape(-1),
+                lam=cfg.lam)
             if not np.isfinite(total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             grads, _ = net.backward_batch(params, cache,

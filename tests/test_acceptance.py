@@ -10,11 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from pitchkit import model as net
-from pitchkit.audio_io import AudioBuffer
+from pitchkit import dsp, grid, model as net
+from pitchkit.audio_io import HOP, AudioBuffer
 from pitchkit.decode import DecoderConfig, decode_frame
-from pitchkit.dsp import StftConfig, hann_window, stft_magnitude
-from pitchkit.grid import PitchGrid
+from pitchkit.dsp import hann_window, stft_magnitude
 from pitchkit.losses import loss_total, softmax_rows
 from pitchkit.metrics import (average_reports, evaluate, evaluate_noisy,
                               harmonic_mean, rca, rpa)
@@ -22,8 +21,6 @@ from pitchkit.pipeline import analyze, make_estimator
 from pitchkit.synth import random_spec, synth_example
 from pitchkit.train import TrainConfig, train_loop
 
-STFT = StftConfig()
-GRID = PitchGrid()
 DEC = DecoderConfig()
 
 # training budget for criteria 7/8 (seconds of CPU time, spec allows 30 min)
@@ -34,9 +31,9 @@ TRAIN_MAX_BLOCKS = 10
 
 # -- criterion 1: spectral front-end vs naive DFT oracle --------------------
 
-def naive_stft_magnitude(samples, cfg):
+def naive_stft_magnitude(samples):
     """O(N^2) reference: explicit DFT matrix per windowed frame."""
-    n, h = cfg.window_len, cfg.hop
+    n, h = dsp.WINDOW, HOP
     k = np.arange(n // 2 + 1)
     dft = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
     win = hann_window(n)
@@ -55,8 +52,8 @@ def test_criterion_01_stft_matches_naive_dft():
     for _ in range(100):
         length = int(rng.integers(1024, 8193))
         x = rng.standard_normal(length)
-        fast = stft_magnitude(AudioBuffer(x, 16000), STFT)
-        slow = naive_stft_magnitude(x, STFT)
+        fast = stft_magnitude(AudioBuffer(x, 16000))
+        slow = naive_stft_magnitude(x)
         denom = np.maximum(np.abs(slow), 1e-30)
         worst = max(worst, float(np.max(np.abs(fast - slow) / denom)))
     elapsed = time.perf_counter() - start
@@ -67,17 +64,17 @@ def test_criterion_01_stft_matches_naive_dft():
 # -- criterion 2: band-selection and grid constants -------------------------
 
 def test_criterion_02_band_and_grid_constants():
-    assert STFT.k_min == 3
-    assert STFT.k_max == 134
-    assert STFT.n_bands == 132
-    n_fft_bins = STFT.window_len // 2 + 1
+    assert dsp.K_MIN == 3
+    assert dsp.K_MAX == 134
+    assert dsp.N_BANDS == 132
+    n_fft_bins = dsp.WINDOW // 2 + 1
     assert n_fft_bins == 513
-    assert n_fft_bins - STFT.n_bands == 381
-    assert GRID.f_min == 46.875
-    assert GRID.f_max == 2093.75
-    assert GRID.centers[0] == pytest.approx(46.875, abs=1e-9)
-    assert GRID.centers[-1] == pytest.approx(2093.75, abs=1e-9)
-    assert GRID.cents_per_bin == pytest.approx(33.05, abs=0.1)
+    assert n_fft_bins - dsp.N_BANDS == 381
+    assert grid.F_MIN_HZ == 46.875
+    assert grid.F_MAX_HZ == 2093.75
+    assert grid.CENTERS[0] == pytest.approx(46.875, abs=1e-9)
+    assert grid.CENTERS[-1] == pytest.approx(2093.75, abs=1e-9)
+    assert grid.CENTS_PER_BIN == pytest.approx(33.05, abs=0.1)
 
 
 # -- criterion 3: parameter budget ------------------------------------------
@@ -103,19 +100,19 @@ def test_criterion_04_gradient_check():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 4, 132))
     targets = rng.integers(0, 200, 4)
-    f_true = GRID.centers[targets] * 2.0 ** rng.uniform(-0.01, 0.01, 4)
+    f_true = grid.CENTERS[targets] * 2.0 ** rng.uniform(-0.01, 0.01, 4)
     mask = np.ones(4, dtype=bool)
 
     def loss_of(p):
         logits, _ = net.forward_batch(p, x, train=True, update_running=False)
         total, _, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
-                                    GRID, mask)
+                                    mask)
         return total
 
     logits, cache = net.forward_batch(params, x, train=True,
                                       update_running=False)
     _, d_flat, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
-                                 GRID, mask)
+                                 mask)
     grads, _ = net.backward_batch(params, cache, d_flat.reshape(logits.shape))
 
     h = 1e-6
@@ -152,12 +149,12 @@ def test_criterion_04_gradient_check():
 def test_criterion_05_decoder_properties():
     row = np.zeros(200)
     row[123] = 1.0
-    f, c, _ = decode_frame(row, GRID, DEC)
-    assert f == GRID.bin_center(123)
+    f, c, _ = decode_frame(row, DEC)
+    assert f == grid.bin_center(123)
     assert c == 1.0
 
     uniform = np.full(200, 1.0 / 200.0)
-    _, c, _ = decode_frame(uniform, GRID, DEC)
+    _, c, _ = decode_frame(uniform, DEC)
     assert c == pytest.approx(19.0 / 200.0, abs=1e-12)
 
     rng = np.random.default_rng(55)
@@ -165,10 +162,10 @@ def test_criterion_05_decoder_properties():
         0.1, 15.0, size=(10000, 1))
     probs = softmax_rows(logits)
     for row in probs:
-        f, c, _ = decode_frame(row, GRID, DEC)
+        f, c, _ = decode_frame(row, DEC)
         best = int(row.argmax())
         lo_bin = min(max(best - DEC.half_width, 0), 200 - 19)
-        assert GRID.bin_center(lo_bin) <= f <= GRID.bin_center(lo_bin + 18)
+        assert grid.bin_center(lo_bin) <= f <= grid.bin_center(lo_bin + 18)
         assert 0.0 <= c <= 1.0
 
 
@@ -229,8 +226,8 @@ def trained_model():
     params = None
     clean = None
     for _ in range(TRAIN_MAX_BLOCKS):
-        params, _ = train_loop(train_corpus, cfg, STFT, GRID, params=params)
-        reports = [evaluate(analyze(buf, params, STFT, GRID, DEC), truth)
+        params, _ = train_loop(train_corpus, cfg, params=params)
+        reports = [evaluate(analyze(buf, params, DEC), truth)
                    for buf, truth in eval_corpus]
         clean = average_reports(reports)
         cpu = time.process_time() - cpu0
@@ -254,7 +251,7 @@ def test_criterion_07_desk_scale_training(trained_model):
 
 def test_criterion_08_noise_robustness(trained_model):
     params, eval_corpus, clean, _ = trained_model
-    estimator = make_estimator(params, STFT, GRID, DEC)
+    estimator = make_estimator(params, DEC)
     noisy = evaluate_noisy(estimator, eval_corpus, snr_db=10.0, seed=7)
     drop = clean.hm - noisy.hm
     print(f"clean hm={clean.hm:.4f} noisy hm={noisy.hm:.4f} "
@@ -268,11 +265,11 @@ def test_criterion_09_real_time_factor():
     rng = np.random.default_rng(9)
     buf = AudioBuffer(rng.uniform(-0.5, 0.5, 5 * 16000), 16000)
     params = net.init_params(0)
-    analyze(buf, params, STFT, GRID, DEC)  # warm-up
+    analyze(buf, params, DEC)  # warm-up
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        analyze(buf, params, STFT, GRID, DEC)
+        analyze(buf, params, DEC)
         times.append(time.perf_counter() - start)
     rtf = 5.0 / min(times)
     print(f"5s file best={min(times) * 1000:.1f}ms rtf={rtf:.1f}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pitchkit.augment import AugmentConfig, augment, mix_at_snr, noise_gamma
-from pitchkit.dsp import StftConfig, stft_magnitude
+from pitchkit.dsp import stft_magnitude
 from pitchkit.errors import ArgumentError, SkipExample
 from pitchkit.synth import SynthSpec, f0_trajectory, random_spec, synth_example
 
@@ -78,7 +78,7 @@ def test_mix_at_snr_zero_noise_passthrough():
 def test_constant_tone_spectral_peak():
     spec = SynthSpec(kind="constant", f0_hz=220.0, n_harmonics=1)
     buf, truth = synth_example(spec)
-    mag = stft_magnitude(buf, StftConfig())
+    mag = stft_magnitude(buf)
     assert int(mag[5].argmax()) == 14  # 220 / 15.625 = 14.08
     assert np.all(truth.f0_hz == 220.0)
 
@@ -112,6 +112,19 @@ def test_clip_shorter_than_one_window_rejected():
         synth_example(SynthSpec(duration_s=1023 / 16000))
     _, truth = synth_example(SynthSpec(duration_s=1024 / 16000))
     assert len(truth) == 1
+
+
+def test_truth_frames_match_the_front_end():
+    # rendered at 16 kHz: one truth frame per STFT frame, all inside the clip
+    spec = SynthSpec(kind="glide", f0_hz=150.0, f1_hz=600.0, duration_s=2.0)
+    buf, truth = synth_example(spec)
+    assert buf.sample_rate_hz == 16000
+    assert len(truth) == (len(buf.samples) - 1024) // 256 + 1
+    assert len(truth) == len(stft_magnitude(buf))
+    assert truth.hop_seconds == 0.016
+    assert truth.times[-1] < spec.duration_s
+    with pytest.raises(TypeError):
+        SynthSpec(sample_rate_hz=44100)
 
 
 def test_peak_normalization():

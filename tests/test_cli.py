@@ -42,6 +42,14 @@ def test_synth_too_short_exits_5(workdir, capsys):
     assert "synthesis range error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_synth_count_below_one_exits_1(workdir, capsys, count):
+    out = workdir / f"count{count}"
+    assert main(["synth", str(out), "--count", count]) == 1
+    assert not out.exists()
+    assert "--count must be >= 1" in capsys.readouterr().err
+
+
 def test_synth_deterministic(workdir):
     a, b = workdir / "c_a", workdir / "c_b"
     main(["synth", str(a), "--count", "2", "--seed", "11"])

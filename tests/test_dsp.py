@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pitchkit.audio_io import AudioBuffer
-from pitchkit.dsp import (StftConfig, band_select, hann_window, log_compress,
-                          rfft_radix2, spectrogram, stft_magnitude)
+from pitchkit import dsp
+from pitchkit.dsp import (band_select, hann_window, log_compress, rfft_radix2,
+                          spectrogram, stft_magnitude)
 from pitchkit.errors import ArgumentError, DomainError, InputTooShort, ShapeError
 
 
@@ -55,56 +56,56 @@ def test_hann_too_short():
         hann_window(1)
 
 
+def test_hann_constant_is_read_only():
+    np.testing.assert_array_equal(dsp.HANN, hann_window(dsp.WINDOW))
+    with pytest.raises(ValueError):
+        dsp.HANN[0] = 1.0
+
+
 def test_config_derived_bins():
-    cfg = StftConfig()
-    assert cfg.k_min == 3
-    assert cfg.k_max == 134
-    assert cfg.n_bands == 132
+    assert dsp.K_MIN == 3
+    assert dsp.K_MAX == 134
+    assert dsp.N_BANDS == 132
 
 
 def test_stft_single_frame():
-    cfg = StftConfig()
     buf = AudioBuffer(np.random.default_rng(0).standard_normal(1024), 16000)
-    assert stft_magnitude(buf, cfg).shape == (1, 513)
+    assert stft_magnitude(buf).shape == (1, 513)
 
 
 def test_stft_zero_signal():
-    cfg = StftConfig()
-    mag = stft_magnitude(AudioBuffer(np.zeros(4096), 16000), cfg)
+    mag = stft_magnitude(AudioBuffer(np.zeros(4096), 16000))
     assert np.all(mag == 0.0)
 
 
 def test_stft_too_short():
     with pytest.raises(InputTooShort):
-        stft_magnitude(AudioBuffer(np.zeros(512), 16000), StftConfig())
+        stft_magnitude(AudioBuffer(np.zeros(512), 16000))
 
 
 def test_stft_sine_peak_and_oracle():
-    cfg = StftConfig()
     t = np.arange(1024) / 16000
     buf = AudioBuffer(np.sin(2 * np.pi * 250.0 * t), 16000)
-    mag = stft_magnitude(buf, cfg)
+    mag = stft_magnitude(buf)
     assert mag[0].argmax() == 16
     oracle = naive_dft_magnitude(buf.samples * hann_window(1024))
     assert np.abs(mag[0] - oracle).max() <= 1e-6 * oracle.max()
 
 
 def test_stft_matches_dft_oracle_random():
-    cfg = StftConfig()
     rng = np.random.default_rng(7)
     w = hann_window(1024)
     for _ in range(10):
         n = int(rng.integers(1024, 4097))
         x = rng.standard_normal(n)
-        mag = stft_magnitude(AudioBuffer(x, 16000), cfg)
+        mag = stft_magnitude(AudioBuffer(x, 16000))
         m = int(rng.integers(mag.shape[0]))
         oracle = naive_dft_magnitude(x[m * 256:m * 256 + 1024] * w)
         assert np.abs(mag[m] - oracle).max() <= 1e-6 * oracle.max()
 
 
 def test_frame_times():
-    cfg = StftConfig()
-    spec = spectrogram(AudioBuffer(np.zeros(16000), 16000), cfg)
+    spec = spectrogram(AudioBuffer(np.zeros(16000), 16000))
     np.testing.assert_allclose(spec.frame_times,
                                np.arange(spec.values.shape[0]) * 0.016)
 
@@ -122,17 +123,15 @@ def test_parseval_per_frame():
 
 
 def test_deterministic_bits():
-    cfg = StftConfig()
     x = np.random.default_rng(5).standard_normal(8000)
-    a = stft_magnitude(AudioBuffer(x, 16000), cfg)
-    b = stft_magnitude(AudioBuffer(x, 16000), cfg)
+    a = stft_magnitude(AudioBuffer(x, 16000))
+    b = stft_magnitude(AudioBuffer(x, 16000))
     np.testing.assert_array_equal(a, b)
 
 
 def test_band_select_slice():
-    cfg = StftConfig()
     full = np.random.default_rng(0).standard_normal((4, 513)) ** 2
-    out = band_select(full, cfg)
+    out = band_select(full)
     assert out.shape == (4, 132)
     np.testing.assert_array_equal(out, full[:, 3:135])
     assert (513 - 132) / 513 == pytest.approx(0.7427, abs=1e-3)
@@ -141,14 +140,14 @@ def test_band_select_slice():
 
 def test_band_select_any_leading_shape():
     full = np.random.default_rng(1).standard_normal((2, 3, 513))
-    out = band_select(full, StftConfig())
+    out = band_select(full)
     assert out.shape == (2, 3, 132)
     np.testing.assert_array_equal(out, full[..., 3:135])
 
 
 def test_band_select_wrong_shape():
     with pytest.raises(ShapeError):
-        band_select(np.zeros((4, 512)), StftConfig())
+        band_select(np.zeros((4, 512)))
 
 
 def test_log_compress_values():

@@ -3,39 +3,45 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitchkit.errors import DomainError
-from pitchkit.grid import PitchGrid, cents_error
+from pitchkit import grid
+from pitchkit.grid import cents_error
 
-GRID = PitchGrid()
 
 
 def test_endpoints():
-    assert GRID.bin_center(0) == pytest.approx(46.875, abs=1e-9)
-    assert GRID.bin_center(199) == pytest.approx(2093.75, rel=1e-12)
+    assert grid.bin_center(0) == pytest.approx(46.875, abs=1e-9)
+    assert grid.bin_center(199) == pytest.approx(2093.75, rel=1e-12)
 
 
 def test_bin_spacing_cents():
-    assert GRID.cents_per_bin == pytest.approx(33.05, abs=0.1)
+    assert grid.CENTS_PER_BIN == pytest.approx(33.05, abs=0.1)
+
+
+def test_centers_constant_is_read_only():
+    assert list(grid.CENTERS) == [grid.bin_center(b) for b in range(grid.N_BINS)]
+    with pytest.raises(ValueError):
+        grid.CENTERS[0] = 1.0
 
 
 def test_bin_center_out_of_range():
     with pytest.raises(IndexError):
-        GRID.bin_center(200)
+        grid.bin_center(200)
 
 
 def test_freq_to_bin_endpoint_and_clamp():
-    assert GRID.freq_to_bin(46.875) == 0
-    assert GRID.freq_to_bin(30.0) == 0
-    assert GRID.freq_to_bin(5000.0) == 199
+    assert grid.freq_to_bin(46.875) == 0
+    assert grid.freq_to_bin(30.0) == 0
+    assert grid.freq_to_bin(5000.0) == 199
 
 
 def test_freq_to_bin_round_trip_all_bins():
     for b in range(200):
-        assert GRID.freq_to_bin(GRID.bin_center(b)) == b
+        assert grid.freq_to_bin(grid.bin_center(b)) == b
 
 
 def test_freq_to_bin_nonpositive():
     with pytest.raises(DomainError):
-        GRID.freq_to_bin(0.0)
+        grid.freq_to_bin(0.0)
 
 
 def test_cents_error_basic():
@@ -57,6 +63,6 @@ def test_cents_error_antisymmetric(a, b):
 
 @given(st.floats(min_value=46.875, max_value=2093.75))
 def test_quantization_bounded_by_half_step(f):
-    b = GRID.freq_to_bin(f)
-    err = cents_error(GRID.bin_center(b), f)
-    assert abs(err) <= GRID.cents_per_bin / 2 + 1e-9
+    b = grid.freq_to_bin(f)
+    err = cents_error(grid.bin_center(b), f)
+    assert abs(err) <= grid.CENTS_PER_BIN / 2 + 1e-9

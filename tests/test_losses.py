@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from pitchkit.errors import EmptyBatchError
-from pitchkit.grid import PitchGrid
+from pitchkit import grid
 from pitchkit.losses import loss_ce, loss_cents, loss_total, softmax_rows
 
-GRID = PitchGrid()
 
 
 def fd_check(loss_fn, logits, tol=1e-5):
@@ -54,7 +53,7 @@ def test_ce_gradient_fd():
 def test_cents_delta_on_true_bin():
     z = np.zeros((1, 200))
     z[0, 50] = 500.0
-    loss, _ = loss_cents(z, [GRID.bin_center(50)], GRID, np.ones(1, bool))
+    loss, _ = loss_cents(z, [grid.bin_center(50)], np.ones(1, bool))
     assert loss < 1e-9
 
 
@@ -62,9 +61,9 @@ def test_cents_split_mass_geometric_midpoint():
     z = np.full((1, 200), -1e9)
     z[0, 0] = 0.0
     z[0, 199] = 0.0
-    mid = np.sqrt(GRID.f_min * GRID.f_max)
+    mid = np.sqrt(grid.F_MIN_HZ * grid.F_MAX_HZ)
     assert mid == pytest.approx(313.2803, abs=1e-3)
-    loss, _ = loss_cents(z, [mid], GRID, np.ones(1, bool))
+    loss, _ = loss_cents(z, [mid], np.ones(1, bool))
     assert loss < 1e-9
 
 
@@ -73,17 +72,17 @@ def test_cents_gradient_fd():
     z = rng.standard_normal((4, 200))
     f_true = rng.uniform(100, 1000, 4)
     mask = np.ones(4, bool)
-    fd_check(lambda zz: loss_cents(zz, f_true, GRID, mask), z)
+    fd_check(lambda zz: loss_cents(zz, f_true, mask), z)
 
 
 def test_total_zero_lambda_equals_ce():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((4, 200))
     targets = rng.integers(0, 200, 4)
-    f_true = GRID.centers[targets]
+    f_true = grid.CENTERS[targets]
     mask = np.ones(4, bool)
     ce, d_ce = loss_ce(z, targets, mask)
-    total, d, _, _ = loss_total(z, targets, f_true, GRID, mask, lam=0.0)
+    total, d, _, _ = loss_total(z, targets, f_true, mask, lam=0.0)
     assert total == ce
     np.testing.assert_array_equal(d, d_ce)
 
@@ -95,8 +94,8 @@ def test_total_additivity():
     f_true = rng.uniform(100, 1000, 4)
     mask = np.ones(4, bool)
     ce, d_ce = loss_ce(z, targets, mask)
-    cents, d_cents = loss_cents(z, f_true, GRID, mask)
-    total, d, ce_out, cents_out = loss_total(z, targets, f_true, GRID, mask)
+    cents, d_cents = loss_cents(z, f_true, mask)
+    total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask)
     assert total == pytest.approx(ce + cents, abs=1e-9)
     np.testing.assert_allclose(d, d_ce + d_cents, atol=1e-12)
 
@@ -127,8 +126,8 @@ def test_total_equals_separate_terms(lam):
     f_true = rng.uniform(100, 1000, 12)
     mask = rng.random(12) < 0.7
     ce, d_ce = loss_ce(z, targets, mask)
-    cents, d_cents = loss_cents(z, f_true, GRID, mask)
-    total, d, ce_out, cents_out = loss_total(z, targets, f_true, GRID, mask,
+    cents, d_cents = loss_cents(z, f_true, mask)
+    total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask,
                                              lam=lam)
     assert abs(ce_out - ce) <= 1e-12
     if lam:

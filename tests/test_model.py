@@ -6,16 +6,15 @@ import pytest
 
 from pitchkit import model as net
 from pitchkit.errors import FormatError, ShapeError, StateError
-from pitchkit.grid import PitchGrid
+from pitchkit import grid
 from pitchkit.losses import loss_total, softmax_rows
 
-GRID = PitchGrid()
 
 
 def random_batch(rng, frames=4):
     x = rng.standard_normal((1, frames, 132))
     targets = rng.integers(0, 200, frames)
-    f_true = GRID.centers[targets] * 2.0 ** rng.uniform(-0.01, 0.01, frames)
+    f_true = grid.CENTERS[targets] * 2.0 ** rng.uniform(-0.01, 0.01, frames)
     mask = np.ones(frames, dtype=bool)
     return x, targets, f_true, mask
 
@@ -24,7 +23,7 @@ def total_loss(params, x, targets, f_true, mask):
     logits, cache = net.forward_batch(params, x, train=True,
                                       update_running=False)
     total, d, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
-                                GRID, mask)
+                                mask)
     return total, d.reshape(logits.shape), cache
 
 
@@ -57,7 +56,7 @@ def test_zero_network_uniform_softmax():
     for w in p.conv_w:
         w[:] = 0.0
     p.proj_w[:] = 0.0
-    logits, _ = net.forward(p, np.zeros((4, 132)), mode="eval")
+    logits, _ = net.forward(p, np.zeros((4, 132)))
     assert np.all(logits == 0.0)
     probs = softmax_rows(logits)
     np.testing.assert_allclose(probs, 1.0 / 200.0)
@@ -74,8 +73,8 @@ def test_forward_shape_and_error():
 def test_eval_forward_pure():
     p = net.init_params(2)
     x = np.random.default_rng(1).standard_normal((5, 132))
-    a, _ = net.forward(p, x, mode="eval")
-    b, _ = net.forward(p, x, mode="eval")
+    a, _ = net.forward(p, x)
+    b, _ = net.forward(p, x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -323,7 +322,7 @@ def test_chunked_forward_matches_whole_sequence(dtype):
     c, h = net.CHUNK, net.HALO
     for t in (1, c - 1, c, c + 1, c + h, 2 * c + 1, 3747):
         x = rng.standard_normal((t, 132))
-        logits, cache = net.forward(p, x, mode="eval")
+        logits, cache = net.forward(p, x)
         whole, whole_cache = net.forward_batch(p, x[None], train=False)
         assert np.array_equal(logits, whole[0]), t
         assert np.array_equal(cache["feat"], whole_cache["feat"]), t
@@ -349,7 +348,7 @@ def _forward_peak_bytes(p, frames):
     x = np.random.default_rng(6).standard_normal((frames, 132))
     tracemalloc.start()
     try:
-        net.forward(p, x, mode="eval")
+        net.forward(p, x)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

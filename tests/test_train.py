@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from pitchkit import model as net
-from pitchkit.dsp import StftConfig, spectrogram
+from pitchkit.dsp import spectrogram
 from pitchkit.audio_io import resample_linear
 from pitchkit.errors import AlignmentError, ArgumentError, SkipExample
 from pitchkit.synth import SynthSpec, synth_example
 from pitchkit.train import (Adam, TrainConfig, batch_spectrogram,
                             extract_segment, train_loop)
-
-STFT = StftConfig()
 
 
 def tiny_corpus(n=2, seed=0):
@@ -49,11 +47,11 @@ def test_adam_state_per_tensor():
 def test_batch_spectrogram_matches_single():
     rng = np.random.default_rng(1)
     segs = rng.standard_normal((3, 8000))
-    batch = batch_spectrogram(segs, STFT)
+    batch = batch_spectrogram(segs)
     assert batch.shape == (3, 28, 132)
     for i in range(3):
         from pitchkit.audio_io import AudioBuffer
-        single = spectrogram(AudioBuffer(segs[i], 16000), STFT).values
+        single = spectrogram(AudioBuffer(segs[i], 16000)).values
         assert np.array_equal(batch[i], single)
 
 
@@ -62,7 +60,7 @@ def test_batch_spectrogram_matches_single():
 def test_extract_segment_hop_aligned_targets():
     buf, truth = tiny_corpus(1, seed=2)[0]
     rng = np.random.default_rng(0)
-    seg, f0, mask = extract_segment(buf, truth, rng, STFT)
+    seg, f0, mask = extract_segment(buf, truth, rng)
     assert len(seg) == 8000
     assert len(f0) == 28 == len(mask)
     # constant tone: every segment frame target equals the global truth
@@ -75,14 +73,14 @@ def test_extract_segment_too_short():
     truth = PitchContour(0.016, np.full(12, 220.0), np.ones(12),
                          np.ones(12, bool))
     with pytest.raises(SkipExample):
-        extract_segment(buf, truth, np.random.default_rng(0), STFT)
+        extract_segment(buf, truth, np.random.default_rng(0))
 
 
 def test_extract_segment_no_voiced():
     buf, truth = tiny_corpus(1, seed=3)[0]
     truth.voiced[:] = False
     with pytest.raises(SkipExample):
-        extract_segment(buf, truth, np.random.default_rng(0), STFT)
+        extract_segment(buf, truth, np.random.default_rng(0))
 
 
 def test_extract_segment_truth_shorter_than_segment():
@@ -92,7 +90,7 @@ def test_extract_segment_truth_shorter_than_segment():
     truth = PitchContour(0.016, np.full(20, 220.0), np.ones(20),
                          np.ones(20, bool))
     with pytest.raises(SkipExample, match="truth contour shorter"):
-        extract_segment(buf, truth, np.random.default_rng(0), STFT)
+        extract_segment(buf, truth, np.random.default_rng(0))
 
 
 def test_extract_segment_uses_truth_up_to_its_end():
@@ -101,8 +99,7 @@ def test_extract_segment_uses_truth_up_to_its_end():
     buf, _ = tiny_corpus(1, seed=4)[0]
     f0 = np.linspace(200.0, 300.0, 28)
     truth = PitchContour(0.016, f0, np.ones(28), np.ones(28, bool))
-    seg, seg_f0, mask = extract_segment(buf, truth, np.random.default_rng(0),
-                                        STFT)
+    seg, seg_f0, mask = extract_segment(buf, truth, np.random.default_rng(0))
     np.testing.assert_array_equal(seg, buf.samples[:8000])
     np.testing.assert_array_equal(seg_f0, f0)
     assert mask.all()
