@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, model as net
+from .augment import AugmentConfig
 from .audio_io import (CANONICAL_SR, read_contour_csv, read_wav,
                        resample_linear, write_contour_csv, write_wav)
 from .decode import DecoderConfig
@@ -105,16 +106,16 @@ def _read_config_file(path):
 
 def cmd_train(args) -> int:
     over = _read_config_file(args.config) if args.config else {}
-    default = TrainConfig()
+    default = AugmentConfig()
     cfg = TrainConfig(
         seed=over.get("seed", args.seed), epochs=over.get("epochs", args.epochs),
         batch_size=over.get("batch", args.batch), lr=over.get("lr", args.lr),
-        lam=over.get("lambda", args.lam),
-        gain_db_range=(over.get("gain_db_min", default.gain_db_range[0]),
-                       over.get("gain_db_max", default.gain_db_range[1])),
-        snr_db_range=(over.get("snr_db_min", default.snr_db_range[0]),
-                      over.get("snr_db_max", default.snr_db_range[1])),
-        noise_signals=_load_noise(over.get("noise_dir", args.noise)))
+        lam=over.get("lambda", args.lam), augment=AugmentConfig(
+            gain_db_range=(over.get("gain_db_min", default.gain_db_range[0]),
+                           over.get("gain_db_max", default.gain_db_range[1])),
+            snr_db_range=(over.get("snr_db_min", default.snr_db_range[0]),
+                          over.get("snr_db_max", default.snr_db_range[1])),
+            noise_signals=_load_noise(over.get("noise_dir", args.noise))))
 
     corpus = []
     for line in Path(args.manifest).read_text().splitlines():
@@ -198,13 +199,14 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     if args.count < 1:
         raise ArgumentError(f"--count must be >= 1, got {args.count}")
+    rng = np.random.default_rng(args.seed)
+    # drawn before anything is written, so a bad range creates nothing
+    specs = [random_spec(rng, duration_s=args.duration, f_low=args.f_low,
+                         f_high=args.f_high) for _ in range(args.count)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
     manifest_lines = []
-    for i in range(args.count):
-        spec = random_spec(rng, duration_s=args.duration,
-                           f_low=args.f_low, f_high=args.f_high)
+    for i, spec in enumerate(specs):
         try:
             buf, truth = synth_example(spec)
         except ArgumentError as exc:

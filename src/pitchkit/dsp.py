@@ -25,13 +25,12 @@ suite as the oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer
+from .audio_io import CANONICAL_SR, HOP, AudioBuffer
 from .errors import ArgumentError, DomainError, InputTooShort, ShapeError
 from .grid import F_MAX_HZ, F_MIN_HZ
 
@@ -41,14 +40,6 @@ K_MIN = round(F_MIN_HZ * WINDOW / CANONICAL_SR)
 K_MAX = round(F_MAX_HZ * WINDOW / CANONICAL_SR)
 N_BANDS = K_MAX - K_MIN + 1
 LOG_EPSILON = 1e-8
-
-
-@dataclass
-class Spectrogram:
-    """Band-limited log-magnitude spectrogram, frames along axis 0."""
-
-    values: np.ndarray       # (T, K)
-    frame_times: np.ndarray  # (T,), seconds
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -163,8 +154,6 @@ def batch_spectrogram(samples: np.ndarray) -> np.ndarray:
     return log_compress(band_select(_magnitude(samples)))
 
 
-def spectrogram(buf: AudioBuffer) -> Spectrogram:
-    """Full front-end of one buffer: `batch_spectrogram` plus frame times."""
-    values = batch_spectrogram(_samples(buf))
-    times = np.arange(values.shape[0]) * HOP_SECONDS
-    return Spectrogram(values=values, frame_times=times)
+def spectrogram(buf: AudioBuffer) -> np.ndarray:
+    """(T, N_BANDS) log band magnitudes of one buffer at CANONICAL_SR."""
+    return batch_spectrogram(_samples(buf))

@@ -50,14 +50,17 @@ class EvalReport:
 
 
 def align(pred: PitchContour, truth: PitchContour) -> AlignedFrames:
-    """Pair frame i with frame i; extra tail frames on either side drop."""
+    """Pair frame i with frame i; extra tail frames on either side drop. A
+    predicted F0 that is no positive finite frequency counts as absent."""
     if abs(pred.hop_seconds - truth.hop_seconds) > HOP_MATCH_S:
         raise AlignmentError(
             f"hop mismatch: {pred.hop_seconds} vs {truth.hop_seconds}")
     n = min(len(pred), len(truth))
+    f_pred = pred.f0_hz[:n].copy()
+    f_pred[~(np.isfinite(f_pred) & (f_pred > 0.0))] = np.nan
     return AlignedFrames(
         f_true=truth.f0_hz[:n].copy(),
-        f_pred=pred.f0_hz[:n].copy(),
+        f_pred=f_pred,
         voiced_true=truth.voiced[:n].copy(),
         voiced_pred=pred.voiced[:n].copy(),
     )

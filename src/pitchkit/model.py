@@ -2,9 +2,10 @@
 
 Five 5x5 conv layers (channels 1->8->16->32->64->1), each with batch norm
 and ReLU, followed by a per-frame dense projection from the 132 band bins
-onto 200 pitch bins. Forward and backward passes are written by hand on
-numpy. Each convolution picks its kernel from the kernel shape, so that
-every layer runs as a few large BLAS calls:
+onto 200 pitch bins: 95,842 parameters. The convs have no bias, which batch
+norm would subtract right back out. Forward and backward passes are written
+by hand on numpy. Each convolution picks its kernel from the kernel shape,
+so that every layer runs as a few large BLAS calls:
 
 - layer 0 (c_in = 1) is one im2col GEMM of the (8, 25) kernel with the
   5x5 patch matrix; as 25 shifted taps each matmul would have one input
@@ -17,23 +18,23 @@ every layer runs as a few large BLAS calls:
 
 The backward pass reuses these kernels. dx of a layer is the forward conv of
 its output gradient with the spatially flipped, channel-transposed kernel,
-so layer 4's dx runs as the im2col GEMM, layer 0's on the tap maps and
-layers 1-3 on the shifted taps. dw puts the output gradient in the top-left
-corner of a zero grid the size of the padded input. Flattened to rows of
-channels, tap (i, j) is then a GEMM of the gradient rows with the input rows
-i*(f+4) + j further on, both contiguous views, taken in blocks of ROW_BLOCK
-rows so that both operands stay in cache across the 25 taps. With one
-output channel (layer 4) dw is a single GEMM of the padded input with the
-25 shifted copies of the gradient. Train-mode batch norm centres its input once into x_hat,
-takes the variance from it and scales it in place; its backward takes the
-two channel sums it needs (which are also the beta and gamma gradients) and
-forms dx in one new array.
+so layer 4's dx runs as the im2col GEMM and layers 1-3 on the shifted taps;
+layer 0's, the spectrogram's gradient, is not computed. dw puts the output
+gradient in the top-left corner of a zero grid the size of the padded input.
+Flattened to rows of channels, tap (i, j) is then a GEMM of the gradient
+rows with the input rows i*(f+4) + j further on, both contiguous views,
+taken in blocks of ROW_BLOCK rows so that both operands stay in cache across
+the 25 taps. With one output channel (layer 4) dw is a single GEMM of the
+padded input with the 25 shifted copies of the gradient. Train-mode batch
+norm centres its input once into x_hat, takes the variance from it and
+scales it in place; its backward takes the two channel sums it needs (which
+are also the beta and gamma gradients) and forms dx in one new array.
 
-Eval mode folds each batch norm into its conv kernel and bias, so a layer is
-conv -> ReLU. `forward` runs a long spectrogram in blocks of CHUNK frames,
-each widened by HALO frames of context on both sides; HALO is the
-receptive-field half-width, so the kept frames are exactly those of one
-whole-sequence call while the working set stays bounded by the block size.
+Eval mode folds each batch norm into its conv kernel and a bias once per
+call, so a layer is conv -> ReLU. `forward` runs a long spectrogram in blocks
+of CHUNK frames, each widened by HALO frames of context on both sides; HALO
+is the receptive-field half-width, so the kept frames are exactly those of
+one whole-sequence call while the working set stays bounded by the block size.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import N_BANDS, Spectrogram
+from .dsp import N_BANDS
 from .errors import FormatError, ShapeError, StateError
 from .grid import N_BINS
 
@@ -66,7 +67,6 @@ ROW_BLOCK = 4096
 @dataclass
 class ModelParams:
     conv_w: list          # [ (c_out, c_in, 5, 5) ]
-    conv_b: list          # [ (c_out,) ]
     bn_gamma: list        # [ (c,) ]
     bn_beta: list
     bn_mean: list         # running statistics, not trainable
@@ -83,7 +83,6 @@ class ModelParams:
         out = {}
         for i in range(len(self.conv_w)):
             out[f"conv{i}.weight"] = self.conv_w[i]
-            out[f"conv{i}.bias"] = self.conv_b[i]
             out[f"bn{i}.gamma"] = self.bn_gamma[i]
             out[f"bn{i}.beta"] = self.bn_beta[i]
         out["proj.weight"] = self.proj_w
@@ -99,14 +98,13 @@ class ModelParams:
 
 
 def init_params(seed: int, dtype=np.float32) -> ModelParams:
-    """Uniform +-sqrt(6/fan_in) kernels, zero biases, identity batch norm."""
+    """Uniform +-sqrt(6/fan_in) kernels, identity batch norm, zero proj bias."""
     rng = np.random.default_rng(seed)
-    conv_w, conv_b, gamma, beta, mean, var = [], [], [], [], [], []
+    conv_w, gamma, beta, mean, var = [], [], [], [], []
     for c_in, c_out in zip(CHANNEL_PLAN[:-1], CHANNEL_PLAN[1:]):
         bound = np.sqrt(6.0 / (c_in * KERNEL * KERNEL))
         conv_w.append(rng.uniform(-bound, bound,
                                   (c_out, c_in, KERNEL, KERNEL)).astype(dtype))
-        conv_b.append(np.zeros(c_out, dtype=dtype))
         gamma.append(np.ones(c_out, dtype=dtype))
         beta.append(np.zeros(c_out, dtype=dtype))
         mean.append(np.zeros(c_out, dtype=dtype))
@@ -114,7 +112,7 @@ def init_params(seed: int, dtype=np.float32) -> ModelParams:
     bound = np.sqrt(6.0 / N_BANDS)
     proj_w = rng.uniform(-bound, bound, (N_BINS, N_BANDS)).astype(dtype)
     proj_b = np.zeros(N_BINS, dtype=dtype)
-    return ModelParams(conv_w, conv_b, gamma, beta, mean, var, proj_w, proj_b)
+    return ModelParams(conv_w, gamma, beta, mean, var, proj_w, proj_b)
 
 
 def count_params(p: ModelParams, breakdown: bool = False):
@@ -188,7 +186,8 @@ def _conv_shifted_taps(x, w, bias):
 
 
 def _conv_backward(x, w, d_out):
-    """Returns (dx, dw, db) for the same-padded conv.
+    """Returns (dx, dw) for the same-padded conv; dx is None for a layer
+    with one input channel, whose input is the spectrogram.
 
     dx is the forward conv of d_out with the spatially flipped,
     channel-transposed kernel, so it runs on `_conv_forward`'s kernels.
@@ -198,9 +197,9 @@ def _conv_backward(x, w, d_out):
     """
     b, t, f, c_in = x.shape
     c_out = w.shape[0]
-    db = d_out.reshape(-1, c_out).sum(axis=0)
-    dx = _conv_forward(d_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                       np.zeros(c_in, dtype=x.dtype))
+    dx = None if c_in == 1 else _conv_forward(
+        d_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+        np.zeros(c_in, dtype=x.dtype))
 
     # On the padded grid flattened to rows, input position p + i*fp + j is
     # tap (i, j) of output position p when d_out sits in the top-left
@@ -227,7 +226,7 @@ def _conv_backward(x, w, d_out):
             for k, off in enumerate(offsets):
                 taps[k] += d_rows @ xp_flat[r0 + off:r1 + off]
         dw = taps.transpose(1, 2, 0).reshape(w.shape)
-    return dx, dw, db
+    return dx, dw
 
 
 def _bn_forward(x, gamma, beta, run_mean, run_var, train, update_running):
@@ -274,6 +273,24 @@ def _bn_backward(d_out, x_hat, inv_std, gamma):
 # forward / backward
 # ---------------------------------------------------------------------------
 
+def _fold(p: ModelParams):
+    """Eval layers as (kernel, bias) pairs: batch norm with running
+    statistics is affine, so it folds into the conv."""
+    scales = [g / np.sqrt(v + BN_EPS) for g, v in zip(p.bn_gamma, p.bn_var)]
+    return [(w * s[:, None, None, None], beta - mean * s)
+            for w, s, beta, mean in zip(p.conv_w, scales, p.bn_beta, p.bn_mean)]
+
+
+def _eval_logits(p: ModelParams, layers, x):
+    """(logits, feature map) of a (B, T, 132) batch on the folded layers."""
+    h = x[..., None]  # (B, T, F, 1)
+    for w, bias in layers:
+        h = _conv_forward(h, w, bias)
+        np.maximum(h, 0.0, out=h)
+    feat = h[..., 0]  # (B, T, F)
+    return feat @ p.proj_w.T + p.proj_b, feat
+
+
 def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False,
                   update_running: bool = True):
     """Run the network on a (B, T, 132) batch of spectrogram segments.
@@ -285,84 +302,66 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False,
     x = np.asarray(x, dtype=p.dtype)
     if x.ndim != 3 or x.shape[2] != N_BANDS:
         raise ShapeError(f"expected (B, T, {N_BANDS}), got {x.shape}")
+    if not train:
+        logits, feat = _eval_logits(p, _fold(p), x)
+        return logits, {"train": False, "feat": feat}
+    layers = []
     h = x[..., None]  # (B, T, F, 1)
-    if train:
-        cache = {"train": train, "layers": []}
-        for i in range(len(p.conv_w)):
-            layer_in = h
-            z = _conv_forward(h, p.conv_w[i], p.conv_b[i])
-            y, (x_hat, inv_std) = _bn_forward(
-                z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i],
-                train, update_running)
-            relu_mask = y > 0.0
-            h = np.maximum(y, 0.0, out=y)
-            cache["layers"].append((layer_in, x_hat, inv_std, relu_mask))
-    else:
-        cache = {"train": False}
-        for i in range(len(p.conv_w)):
-            # batch norm with running statistics is affine: fold it into
-            # the conv so a layer is conv -> ReLU
-            scale = p.bn_gamma[i] / np.sqrt(p.bn_var[i] + BN_EPS)
-            w = p.conv_w[i] * scale[:, None, None, None]
-            bias = (p.conv_b[i] - p.bn_mean[i]) * scale + p.bn_beta[i]
-            h = _conv_forward(h, w, bias)
-            np.maximum(h, 0.0, out=h)
+    for i in range(len(p.conv_w)):
+        layer_in = h
+        z = _conv_forward(h, p.conv_w[i],
+                          np.zeros(len(p.conv_w[i]), dtype=p.dtype))
+        y, (x_hat, inv_std) = _bn_forward(
+            z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i],
+            train, update_running)
+        relu_mask = y > 0.0
+        h = np.maximum(y, 0.0, out=y)
+        layers.append((layer_in, x_hat, inv_std, relu_mask))
     feat = h[..., 0]  # (B, T, F)
     logits = feat @ p.proj_w.T + p.proj_b
-    cache["feat"] = feat
-    return logits, cache
+    return logits, {"train": True, "layers": layers, "feat": feat}
 
 
 def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
-    """Gradients of the scalar loss whose logit-gradient is d_logits.
-
-    Returns (grads dict keyed like ModelParams.trainable(), d_input) where
-    d_input is the gradient w.r.t. the (B, T, 132) spectrogram batch.
-    """
+    """Gradients, keyed like ModelParams.trainable(), of the scalar loss
+    whose logit-gradient is d_logits."""
     if not cache.get("train"):
         raise StateError("backward requires a cache from a train-mode forward")
     if len(cache["layers"]) != len(p.conv_w):
         raise StateError("cache does not match this parameter set")
     d_logits = np.asarray(d_logits, dtype=p.dtype)
-    feat = cache["feat"]
     grads = {}
     d_flat = d_logits.reshape(-1, N_BINS)
-    grads["proj.weight"] = d_flat.T @ feat.reshape(-1, N_BANDS)
+    grads["proj.weight"] = d_flat.T @ cache["feat"].reshape(-1, N_BANDS)
     grads["proj.bias"] = d_flat.sum(axis=0)
     d_h = (d_logits @ p.proj_w)[..., None]  # (B, T, F, 1)
     for i in reversed(range(len(p.conv_w))):
         layer_in, x_hat, inv_std, relu_mask = cache["layers"][i]
         d_y = np.multiply(d_h, relu_mask, out=d_h)
         d_z, d_gamma, d_beta = _bn_backward(d_y, x_hat, inv_std, p.bn_gamma[i])
-        d_h, dw, db = _conv_backward(layer_in, p.conv_w[i], d_z)
+        d_h, dw = _conv_backward(layer_in, p.conv_w[i], d_z)
         grads[f"conv{i}.weight"] = dw
-        grads[f"conv{i}.bias"] = db
         grads[f"bn{i}.gamma"] = d_gamma
         grads[f"bn{i}.beta"] = d_beta
-    return grads, d_h[..., 0]
+    return grads
 
 
-def forward(p: ModelParams, spec: Spectrogram | np.ndarray):
-    """Eval-mode inference on one spectrogram: (T, 132) -> (logits (T, 200),
-    cache). Training goes through `forward_batch`.
-
-    The spectrogram runs in blocks of CHUNK frames (one call when it is no
-    longer); the result equals one whole-sequence eval `forward_batch` bit
-    for bit.
-    """
-    values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec)
+def forward(p: ModelParams, values: np.ndarray) -> np.ndarray:
+    """Eval-mode logits (T, 200) of one (T, 132) spectrogram, run in blocks
+    of CHUNK frames on layers folded once; bit for bit those of one
+    whole-sequence eval `forward_batch`."""
+    values = np.asarray(values, dtype=p.dtype)
     if values.ndim != 2 or values.shape[1] != N_BANDS:
         raise ShapeError(f"expected (T, {N_BANDS}), got {values.shape}")
+    layers = _fold(p)
     t = len(values)
     logits = np.empty((t, N_BINS), dtype=p.dtype)
-    feat = np.empty((1, t, N_BANDS), dtype=p.dtype)
     for lo in range(0, t, CHUNK):
         hi = min(lo + CHUNK, t)
         a, b = max(lo - HALO, 0), min(hi + HALO, t)
-        block, cache = forward_batch(p, values[None, a:b])
+        block, _ = _eval_logits(p, layers, values[None, a:b])
         logits[lo:hi] = block[0, lo - a:hi - a]
-        feat[0, lo:hi] = cache["feat"][0, lo - a:hi - a]
-    return logits, {"train": False, "feat": feat}
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +373,13 @@ _VERSION = 1
 
 
 def save_params(p: ModelParams, path) -> None:
-    """Binary weights file: magic, version, then named float32 tensors."""
-    tensors = p.all_tensors()
+    """Version-1 weights file: magic, version, then named float32 tensors,
+    with a zero conv{i}.bias after each conv{i}.weight."""
+    tensors = {}
+    for name, arr in p.all_tensors().items():
+        tensors[name] = arr
+        if name.startswith("conv"):
+            tensors[name.replace("weight", "bias")] = np.zeros(len(arr))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(tensors)))
@@ -389,6 +393,9 @@ def save_params(p: ModelParams, path) -> None:
 
 
 def load_params(path, dtype=np.float32) -> ModelParams:
+    """Read a version-1 weights file, folding each conv bias into the running
+    mean batch norm subtracts next: fl(m - b) = -fl(b - m), so the folded
+    eval layers are bit for bit those of conv + bias."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -426,24 +433,22 @@ def load_params(path, dtype=np.float32) -> ModelParams:
     if pos != len(data):
         raise FormatError(f"{path}: trailing bytes after last tensor")
 
-    n_layers = len(CHANNEL_PLAN) - 1
-    try:
-        p = ModelParams(
-            conv_w=[tensors[f"conv{i}.weight"] for i in range(n_layers)],
-            conv_b=[tensors[f"conv{i}.bias"] for i in range(n_layers)],
-            bn_gamma=[tensors[f"bn{i}.gamma"] for i in range(n_layers)],
-            bn_beta=[tensors[f"bn{i}.beta"] for i in range(n_layers)],
-            bn_mean=[tensors[f"bn{i}.running_mean"] for i in range(n_layers)],
-            bn_var=[tensors[f"bn{i}.running_var"] for i in range(n_layers)],
-            proj_w=tensors["proj.weight"],
-            proj_b=tensors["proj.bias"],
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing tensor {exc}") from None
-    for (c_in, c_out), w in zip(zip(CHANNEL_PLAN[:-1], CHANNEL_PLAN[1:]), p.conv_w):
-        if w.shape != (c_out, c_in, KERNEL, KERNEL):
-            raise ShapeError(f"{path}: conv kernel shape {w.shape} does not "
-                             f"match architecture")
-    if p.proj_w.shape != (N_BINS, N_BANDS):
-        raise ShapeError(f"{path}: projection shape {p.proj_w.shape}")
-    return p
+    def get(name, shape):
+        if name not in tensors:
+            raise FormatError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ShapeError(f"{path}: {name} has shape "
+                             f"{tensors[name].shape}, not {shape}")
+        return tensors[name]
+
+    conv_w, gamma, beta, mean, var = [], [], [], [], []
+    for i, (c_in, c_out) in enumerate(zip(CHANNEL_PLAN[:-1], CHANNEL_PLAN[1:])):
+        conv_w.append(get(f"conv{i}.weight", (c_out, c_in, KERNEL, KERNEL)))
+        gamma.append(get(f"bn{i}.gamma", (c_out,)))
+        beta.append(get(f"bn{i}.beta", (c_out,)))
+        mean.append(get(f"bn{i}.running_mean", (c_out,))
+                    - get(f"conv{i}.bias", (c_out,)))
+        var.append(get(f"bn{i}.running_var", (c_out,)))
+    return ModelParams(conv_w, gamma, beta, mean, var,
+                       get("proj.weight", (N_BINS, N_BANDS)),
+                       get("proj.bias", (N_BINS,)))

@@ -13,7 +13,7 @@ def analyze(buf: AudioBuffer, params: net.ModelParams,
     dec_cfg = dec_cfg or DecoderConfig()
     if buf.sample_rate_hz != CANONICAL_SR:
         buf = resample_linear(buf, CANONICAL_SR)
-    logits, _ = net.forward(params, spectrogram(buf))
+    logits = net.forward(params, spectrogram(buf))
     return decode_contour(logits, dec_cfg)
 
 

@@ -33,9 +33,7 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 10
     lam: float = 1.0
-    gain_db_range: tuple = (-6.0, 6.0)
-    snr_db_range: tuple = (10.0, 30.0)
-    noise_signals: list = field(default_factory=list)
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
 
 
 class Adam:
@@ -126,9 +124,6 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         params = net.init_params(int(rng.integers(2 ** 31)))
-    aug_cfg = AugmentConfig(gain_db_range=cfg.gain_db_range,
-                            snr_db_range=cfg.snr_db_range,
-                            noise_signals=cfg.noise_signals)
     opt = Adam(cfg)
     trainable = params.trainable()
     history = []
@@ -143,7 +138,7 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                 buf, truth = corpus[j]
                 try:
                     seg, f0, mask = extract_segment(buf, truth, rng)
-                    seg = augment(seg, aug_cfg, rng)
+                    seg = augment(seg, cfg.augment, rng)
                 except SkipExample:
                     skipped += 1
                     continue
@@ -165,8 +160,8 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                 lam=cfg.lam)
             if not np.isfinite(total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads, _ = net.backward_batch(params, cache,
-                                          d_flat.reshape(logits.shape))
+            grads = net.backward_batch(params, cache,
+                                       d_flat.reshape(logits.shape))
             opt.step(trainable, grads)
             losses.append(total)
             ces.append(ce)

@@ -7,7 +7,7 @@ from pitchkit import model as net
 from pitchkit.audio_io import (read_contour_csv, read_wav,
                                write_contour_csv, write_wav)
 from pitchkit.cli import build_parser, main
-from pitchkit.synth import SynthSpec, synth_example
+from pitchkit.synth import SynthSpec, random_spec, synth_example
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,17 @@ def test_synth_count_below_one_exits_1(workdir, capsys, count):
     assert main(["synth", str(out), "--count", count]) == 1
     assert not out.exists()
     assert "--count must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--f-low", "0"], ["--f-low", "nan"],
+                                   ["--duration", "nan"],
+                                   ["--f-low", "500", "--f-high", "100"]])
+def test_synth_bad_range_exits_1(workdir, capsys, flags):
+    out = workdir / "bad_range"
+    assert main(["synth", str(out), "--count", "2"] + flags) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_synth_deterministic(workdir):
@@ -324,3 +335,20 @@ def test_acf_baseline_on_tone(workdir):
     assert len(voiced) > 40
     cents = np.abs(1200 * np.log2(voiced / 220.0))
     assert np.median(cents) < 20.0
+
+
+def test_eval_acf_contour_with_non_positive_f0(workdir, capsys):
+    # acf reports F0 <= 0 on voiced frames of this glide; eval scores them
+    # as absent predictions
+    rng = np.random.default_rng(6)
+    spec = [random_spec(rng, duration_s=2.0) for _ in range(3)][-1]
+    buf, truth = synth_example(spec)
+    write_wav(buf, workdir / "glide.wav", dtype="float32")
+    write_contour_csv(truth, workdir / "glide.csv")
+    acf = workdir / "glide.acf.csv"
+    assert main(["acf", str(workdir / "glide.wav"), str(acf)]) == 0
+    pred = read_contour_csv(acf)
+    assert np.any(pred.voiced & ~(pred.f0_hz > 0))
+    capsys.readouterr()
+    assert main(["eval", str(acf), str(workdir / "glide.csv")]) == 0
+    assert "hm" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 from pitchkit.audio_io import AudioBuffer
 from pitchkit import dsp
 from pitchkit.dsp import (band_select, hann_window, log_compress, rfft_radix2,
-                          spectrogram, stft_magnitude)
+                          stft_magnitude)
 from pitchkit.errors import ArgumentError, DomainError, InputTooShort, ShapeError
 
 
@@ -102,12 +102,6 @@ def test_stft_matches_dft_oracle_random():
         m = int(rng.integers(mag.shape[0]))
         oracle = naive_dft_magnitude(x[m * 256:m * 256 + 1024] * w)
         assert np.abs(mag[m] - oracle).max() <= 1e-6 * oracle.max()
-
-
-def test_frame_times():
-    spec = spectrogram(AudioBuffer(np.zeros(16000), 16000))
-    np.testing.assert_allclose(spec.frame_times,
-                               np.arange(spec.values.shape[0]) * 0.016)
 
 
 def test_parseval_per_frame():

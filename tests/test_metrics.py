@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from pitchkit.audio_io import AudioBuffer, PitchContour
+from pitchkit.baseline import acf_contour
 from pitchkit.errors import AlignmentError, UndefinedMetric
 from pitchkit.metrics import (AlignedFrames, align, cents_accuracy, evaluate,
                               evaluate_noisy, gross_error_accuracy,
                               harmonic_mean, octave_accuracy, rca, rpa,
                               voicing_pr)
+from pitchkit.synth import random_spec, synth_example
 
 
 def contour(f0, voiced=None, conf=None, hop=0.016):
@@ -316,3 +318,26 @@ def test_evaluate_noisy_skips_all_unvoiced_file():
     silent.update({59, 63})
     with pytest.raises(UndefinedMetric):
         evaluate_noisy(est, corpus, snr_db=10.0, seed=2)
+
+
+def test_align_non_positive_or_infinite_prediction_is_absent():
+    a = align(contour([-5.0, 0.0, np.inf, np.nan, 200.0], voiced=[1, 1, 1, 0, 1]),
+              contour([100.0] * 5))
+    np.testing.assert_array_equal(a.f_pred, [np.nan] * 4 + [200.0])
+    np.testing.assert_array_equal(a.voiced_pred, [1, 1, 1, 0, 1])
+
+
+def test_acf_non_positive_f0_scores_as_absent():
+    # the autocorrelation baseline marks frames of this glide voiced with an
+    # F0 <= 0; they score as absent predictions instead of aborting
+    rng = np.random.default_rng(6)
+    spec = [random_spec(rng, duration_s=2.0) for _ in range(3)][-1]
+    buf, truth = synth_example(spec)
+    pred = acf_contour(buf)
+    bad = ~(pred.f0_hz > 0)
+    assert np.sum(bad & pred.voiced & truth.voiced) > 0
+    absent = PitchContour(pred.hop_seconds, np.where(bad, np.nan, pred.f0_hz),
+                          pred.confidence, pred.voiced)
+    report = evaluate(pred, truth)
+    assert report == evaluate(absent, truth)
+    assert report.gea < 1.0 and report.rpa < 1.0

@@ -1,5 +1,8 @@
+import importlib.util
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +39,9 @@ def test_init_deterministic():
 
 def test_init_biases_zero_and_kernel_bound():
     p = net.init_params(0)
-    for b in p.conv_b:
-        assert np.all(b == 0.0)
+    assert np.all(p.proj_b == 0.0)
+    for beta in p.bn_beta:
+        assert np.all(beta == 0.0)
     bound = np.sqrt(6.0 / 25.0)
     assert np.all(np.abs(p.conv_w[0]) <= bound)
 
@@ -46,9 +50,9 @@ def test_count_params_breakdown():
     p = net.init_params(1)
     total, counts = net.count_params(p, breakdown=True)
     conv = sum(v for k, v in counts.items() if k.startswith("conv"))
-    assert conv == 208 + 3216 + 12832 + 51264 + 1601 == 69121
+    assert conv == 200 + 3200 + 12800 + 51200 + 1600 == 69000
     assert counts["proj.weight"] + counts["proj.bias"] == 26600
-    assert abs(total - 95842) / 95842 < 0.005
+    assert total == 95842
 
 
 def test_zero_network_uniform_softmax():
@@ -56,7 +60,7 @@ def test_zero_network_uniform_softmax():
     for w in p.conv_w:
         w[:] = 0.0
     p.proj_w[:] = 0.0
-    logits, _ = net.forward(p, np.zeros((4, 132)))
+    logits = net.forward(p, np.zeros((4, 132)))
     assert np.all(logits == 0.0)
     probs = softmax_rows(logits)
     np.testing.assert_allclose(probs, 1.0 / 200.0)
@@ -64,7 +68,7 @@ def test_zero_network_uniform_softmax():
 
 def test_forward_shape_and_error():
     p = net.init_params(2)
-    logits, _ = net.forward(p, np.random.default_rng(0).standard_normal((7, 132)))
+    logits = net.forward(p, np.random.default_rng(0).standard_normal((7, 132)))
     assert logits.shape == (7, 200)
     with pytest.raises(ShapeError):
         net.forward(p, np.zeros((4, 100)))
@@ -73,8 +77,8 @@ def test_forward_shape_and_error():
 def test_eval_forward_pure():
     p = net.init_params(2)
     x = np.random.default_rng(1).standard_normal((5, 132))
-    a, _ = net.forward(p, x)
-    b, _ = net.forward(p, x)
+    a = net.forward(p, x)
+    b = net.forward(p, x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -94,10 +98,9 @@ def test_backward_zero_gradient():
     p = net.init_params(5, dtype=np.float64)
     x = np.random.default_rng(0).standard_normal((1, 4, 132))
     _, cache = net.forward_batch(p, x, train=True, update_running=False)
-    grads, dx = net.backward_batch(p, cache, np.zeros((1, 4, 200)))
+    grads = net.backward_batch(p, cache, np.zeros((1, 4, 200)))
     for g in grads.values():
         assert np.all(g == 0.0)
-    assert np.all(dx == 0.0)
 
 
 def test_backward_requires_train_cache():
@@ -114,7 +117,7 @@ def test_gradients_match_finite_differences():
     p = net.init_params(7, dtype=np.float64)
     x, targets, f_true, mask = random_batch(rng)
     _, d, cache = total_loss(p, x, targets, f_true, mask)
-    grads, _ = net.backward_batch(p, cache, d)
+    grads = net.backward_batch(p, cache, d)
     h = 1e-6
     for name, arr in p.trainable().items():
         n = min(6, arr.size)
@@ -131,14 +134,9 @@ def test_gradients_match_finite_differences():
             arr[idx] = orig
             fd[j] = (lp - lm) / (2 * h)
             an[j] = grads[name][idx]
-        if name.startswith("conv") and name.endswith("bias"):
-            # batch norm subtracts the mean: these gradients vanish exactly
-            assert np.abs(an).max() < 1e-10
-            assert np.abs(fd).max() < 1e-6
-        else:
-            rel = np.linalg.norm(fd - an) / max(np.linalg.norm(fd),
-                                                np.linalg.norm(an), 1e-12)
-            assert rel < 1e-4, f"{name}: rel={rel:.2e}"
+        rel = np.linalg.norm(fd - an) / max(np.linalg.norm(fd),
+                                            np.linalg.norm(an), 1e-12)
+        assert rel < 1e-4, f"{name}: rel={rel:.2e}"
 
 
 def test_masked_channel_gradient_zero():
@@ -148,7 +146,7 @@ def test_masked_channel_gradient_zero():
     p.bn_beta[0][0] = -100.0
     x, targets, f_true, mask = random_batch(rng)
     _, d, cache = total_loss(p, x, targets, f_true, mask)
-    grads, _ = net.backward_batch(p, cache, d)
+    grads = net.backward_batch(p, cache, d)
     assert np.all(grads["bn0.gamma"][0] == 0.0)
     assert np.all(grads["conv0.weight"][0] == 0.0)
 
@@ -207,7 +205,7 @@ def test_conv_forward_matches_direct_sum(layer, dtype):
 def direct_sum_conv_backward(x, w, d):
     """float64 oracle of the conv's gradients, each with the sum of |terms|:
     dx[b,t,f,c] = sum_{i,j,o} d[b,t+PAD-i,f+PAD-j,o] w[o,c,i,j],
-    dw[o,c,i,j] = sum_{b,t,f} d[b,t,f,o] xp[b,t+i,f+j,c], db[o] = sum d."""
+    dw[o,c,i,j] = sum_{b,t,f} d[b,t,f,o] xp[b,t+i,f+j,c]."""
     x, w, d = (a.astype(np.float64) for a in (x, w, d))
     b, t, f, _ = x.shape
     pad = net.PAD
@@ -225,23 +223,28 @@ def direct_sum_conv_backward(x, w, d):
             dw[:, :, i, j] = np.einsum("btfo,btfc->oc", d, window)
             dw_abs[:, :, i, j] = np.einsum("btfo,btfc->oc", np.abs(d),
                                            np.abs(window))
-    return (dx, dx_abs), (dw, dw_abs), (d.sum(axis=(0, 1, 2)),
-                                        np.abs(d).sum(axis=(0, 1, 2)))
+    return (dx, dx_abs), (dw, dw_abs)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layer", range(len(net.CHANNEL_PLAN) - 1))
 def test_conv_backward_matches_direct_sum(layer, dtype):
     # dx runs on the forward kernels of the transposed shape, dw on flat row
-    # views (one GEMM when c_out = 1); all must agree with the plain sums
+    # views (one GEMM when c_out = 1); all must agree with the plain sums.
+    # Layer 0's input is the spectrogram, whose gradient is not computed.
     rng = np.random.default_rng(10 + layer)
     c_in, c_out = net.CHANNEL_PLAN[layer], net.CHANNEL_PLAN[layer + 1]
     x = rng.standard_normal((3, 9, 21, c_in)).astype(dtype)
     w = rng.standard_normal((c_out, c_in, net.KERNEL, net.KERNEL)).astype(dtype)
     d = rng.standard_normal((3, 9, 21, c_out)).astype(dtype)
-    grads = net._conv_backward(x, w, d)
-    for name, got, (expected, abs_sum) in zip(
-            ("dx", "dw", "db"), grads, direct_sum_conv_backward(x, w, d)):
+    dx, dw = net._conv_backward(x, w, d)
+    (dx_ref, dx_abs), (dw_ref, dw_abs) = direct_sum_conv_backward(x, w, d)
+    checks = [("dw", dw, dw_ref, dw_abs)]
+    if layer == 0:
+        assert dx is None
+    else:
+        checks.append(("dx", dx, dx_ref, dx_abs))
+    for name, got, expected, abs_sum in checks:
         assert got.shape == expected.shape and got.dtype == dtype, name
         # the rounding bound of test_conv_forward_matches_direct_sum
         assert np.all(np.abs(got - expected)
@@ -298,12 +301,11 @@ def test_batch_norm_matches_reference(train, c):
 
 
 def random_bn_params(seed, dtype):
-    """init_params with non-trivial conv biases and batch-norm statistics."""
+    """init_params with non-trivial batch-norm parameters and statistics."""
     rng = np.random.default_rng(seed)
     p = net.init_params(seed, dtype=dtype)
     for i in range(len(p.conv_w)):
-        c = p.conv_b[i].shape
-        p.conv_b[i][:] = rng.normal(0.0, 0.3, c)
+        c = p.bn_gamma[i].shape
         p.bn_gamma[i][:] = rng.uniform(0.5, 1.5, c)
         p.bn_beta[i][:] = rng.normal(0.0, 0.3, c)
         p.bn_mean[i][:] = rng.normal(0.0, 0.3, c)
@@ -322,10 +324,9 @@ def test_chunked_forward_matches_whole_sequence(dtype):
     c, h = net.CHUNK, net.HALO
     for t in (1, c - 1, c, c + 1, c + h, 2 * c + 1, 3747):
         x = rng.standard_normal((t, 132))
-        logits, cache = net.forward(p, x)
-        whole, whole_cache = net.forward_batch(p, x[None], train=False)
+        logits = net.forward(p, x)
+        whole, _ = net.forward_batch(p, x[None], train=False)
         assert np.array_equal(logits, whole[0]), t
-        assert np.array_equal(cache["feat"], whole_cache["feat"]), t
 
 
 def test_folded_eval_matches_unfolded_batch_norm():
@@ -333,7 +334,7 @@ def test_folded_eval_matches_unfolded_batch_norm():
     x = np.random.default_rng(5).standard_normal((2, 40, 132))
     h = x[..., None]
     for i in range(len(p.conv_w)):
-        z = net._conv_forward(h, p.conv_w[i], p.conv_b[i])
+        z = net._conv_forward(h, p.conv_w[i], np.zeros(len(p.conv_w[i])))
         y, _ = net._bn_forward(z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i],
                                p.bn_var[i], train=False,
                                update_running=False)
@@ -356,7 +357,7 @@ def _forward_peak_bytes(p, frames):
 
 def test_eval_forward_memory_bounded():
     # 60 s of audio at 16 kHz is 3747 frames; the working set must not grow
-    # with length beyond the logits and features it returns
+    # with length beyond the logits it returns
     p = net.init_params(0)
     assert _forward_peak_bytes(p, 3747) <= 2 * _forward_peak_bytes(p, net.CHUNK)
 
@@ -368,6 +369,104 @@ def test_save_load_round_trip(tmp_path):
     q = net.load_params(path)
     for name, arr in p.all_tensors().items():
         np.testing.assert_array_equal(arr, q.all_tensors()[name])
+
+
+def v1_bytes(tensors: dict) -> bytes:
+    """A version-1 weights file, field by field: magic, version, count, then
+    per tensor name length, name, rank, dims and float32 values."""
+    out = [b"SWF0", struct.pack("<II", 1, len(tensors))]
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype="<f4")
+        enc = name.encode("utf-8")
+        out += [struct.pack("<H", len(enc)), enc, struct.pack("<B", arr.ndim),
+                struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    return b"".join(out)
+
+
+def v1_tensors(seed) -> dict:
+    """The 32 float32 tensors of a version-1 file in file order, with
+    nonzero conv biases and batch-norm statistics."""
+    rng = np.random.default_rng(seed)
+    p = net.init_params(seed)
+    t = {}
+    for i, w in enumerate(p.conv_w):
+        t[f"conv{i}.weight"] = w
+        t[f"conv{i}.bias"] = rng.normal(0.0, 0.3, len(w))
+        t[f"bn{i}.gamma"] = rng.uniform(0.5, 1.5, len(w))
+        t[f"bn{i}.beta"] = rng.normal(0.0, 0.3, len(w))
+    t["proj.weight"] = p.proj_w
+    t["proj.bias"] = rng.normal(0.0, 0.1, len(p.proj_b))
+    for i, w in enumerate(p.conv_w):
+        t[f"bn{i}.running_mean"] = rng.normal(0.0, 0.3, len(w))
+        t[f"bn{i}.running_var"] = rng.uniform(0.5, 2.0, len(w))
+    return {name: np.asarray(a, dtype=np.float32) for name, a in t.items()}
+
+
+def unfolded_logits(tensors, x):
+    """float64 eval network of a version-1 file as stored: conv + bias, then
+    batch norm with the running statistics, then ReLU."""
+    t = {name: a.astype(np.float64) for name, a in tensors.items()}
+    h = x[..., None]
+    for i in range(len(net.CHANNEL_PLAN) - 1):
+        z, _ = direct_sum_conv(h, t[f"conv{i}.weight"], t[f"conv{i}.bias"])
+        y = ((z - t[f"bn{i}.running_mean"])
+             / np.sqrt(t[f"bn{i}.running_var"] + net.BN_EPS)
+             * t[f"bn{i}.gamma"] + t[f"bn{i}.beta"])
+        h = np.maximum(y, 0.0)
+    return h[..., 0] @ t["proj.weight"].T + t["proj.bias"]
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+def test_load_folds_stored_conv_bias(tmp_path, dtype, rtol):
+    tensors = v1_tensors(23)
+    path = tmp_path / "w.bin"
+    path.write_bytes(v1_bytes(tensors))
+    x = np.random.default_rng(8).standard_normal((30, 132))
+    expected = unfolded_logits(tensors, x[None])[0]
+    assert np.ptp(expected) > 1.0  # the features reach the projection
+    logits = net.forward(net.load_params(path, dtype=dtype), x)
+    np.testing.assert_allclose(logits, expected, rtol=rtol,
+                               atol=rtol * np.abs(expected).max())
+
+
+def test_save_writes_zero_conv_bias_and_round_trips(tmp_path):
+    tensors = v1_tensors(23)
+    (tmp_path / "v1.bin").write_bytes(v1_bytes(tensors))
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    net.save_params(net.load_params(tmp_path / "v1.bin"), a)
+    net.save_params(net.load_params(a), b)
+    assert a.read_bytes() == b.read_bytes()
+    # the same 32 names in the same order; each bias is folded into the
+    # running mean and written as zero
+    for i in range(len(net.CHANNEL_PLAN) - 1):
+        tensors[f"bn{i}.running_mean"] -= tensors[f"conv{i}.bias"]
+        tensors[f"conv{i}.bias"][:] = 0.0
+    assert a.read_bytes() == v1_bytes(tensors)
+
+
+def _load_perfbench(monkeypatch, name):
+    """A perfbench module, loaded from its file under its own name, as the
+    benchmark's scripts import each other."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_reference_reads_saved_params(tmp_path, monkeypatch):
+    # perfbench/reference.py parses the weights file on its own and runs a
+    # float64 network on it; it must read what save_params writes
+    _load_perfbench(monkeypatch, "inputs")
+    reference = _load_perfbench(monkeypatch, "reference")
+    path = tmp_path / "w.bin"
+    net.save_params(random_bn_params(29, np.float32), path)
+    x = np.random.default_rng(9).standard_normal((30, 132))
+    expected = reference.ref_logits(reference.read_weights(path), x)
+    logits = net.forward(net.load_params(path, dtype=np.float64), x)
+    np.testing.assert_allclose(logits, expected, rtol=1e-10,
+                               atol=1e-10 * np.abs(expected).max())
 
 
 def test_load_truncated(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pitchkit import model as net
+from pitchkit.augment import AugmentConfig
 from pitchkit.dsp import spectrogram
 from pitchkit.audio_io import resample_linear
 from pitchkit.errors import AlignmentError, ArgumentError, SkipExample
@@ -51,7 +52,7 @@ def test_batch_spectrogram_matches_single():
     assert batch.shape == (3, 28, 132)
     for i in range(3):
         from pitchkit.audio_io import AudioBuffer
-        single = spectrogram(AudioBuffer(segs[i], 16000)).values
+        single = spectrogram(AudioBuffer(segs[i], 16000))
         assert np.array_equal(batch[i], single)
 
 
@@ -177,7 +178,8 @@ def test_overfit_single_example():
     # 200 steps on one constant tone must collapse the loss
     corpus = tiny_corpus(1, seed=5)
     cfg = TrainConfig(seed=1, epochs=200, batch_size=1, lr=5e-3,
-                      gain_db_range=(0.0, 0.0), snr_db_range=(60.0, 60.0))
+                      augment=AugmentConfig(gain_db_range=(0.0, 0.0),
+                                            snr_db_range=(60.0, 60.0)))
     _, hist = train_loop(corpus, cfg)
     assert hist[-1]["loss"] < 0.1 * hist[0]["loss"]
     assert hist[-1]["loss"] < 1.0
