@@ -6,7 +6,7 @@ corpus generator with exact ground-truth F0.
 """
 from .audio_io import (AudioBuffer, PitchContour, read_contour_csv, read_wav,
                        resample_linear, write_contour_csv, write_wav)
-from .decode import DecoderConfig, decode_contour, decode_frame
+from .decode import DecoderConfig, decode_contour
 from .dsp import spectrogram
 from .grid import cents_error
 from .metrics import EvalReport, evaluate, evaluate_noisy
@@ -21,7 +21,7 @@ __all__ = [
     "AudioBuffer", "PitchContour", "read_wav", "write_wav", "resample_linear",
     "read_contour_csv", "write_contour_csv", "spectrogram",
     "cents_error", "ModelParams", "init_params", "count_params",
-    "save_params", "load_params", "DecoderConfig", "decode_frame",
-    "decode_contour", "EvalReport", "evaluate", "evaluate_noisy", "SynthSpec",
-    "synth_example", "TrainConfig", "train_loop", "analyze", "make_estimator",
+    "save_params", "load_params", "DecoderConfig", "decode_contour",
+    "EvalReport", "evaluate", "evaluate_noisy", "SynthSpec", "synth_example",
+    "TrainConfig", "train_loop", "analyze", "make_estimator",
 ]

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,13 @@ class AudioBuffer:
 
 @dataclass
 class PitchContour:
-    """Per-frame pitch track: f0 (NaN where absent), confidence, voicing flag."""
+    """Per-frame pitch track: f0 (NaN where absent), confidence, voicing
+    flag; frame i is at time i * hop_seconds."""
 
     hop_seconds: float
     f0_hz: np.ndarray        # float, NaN = no estimate
     confidence: np.ndarray   # float in [0, 1]
     voiced: np.ndarray       # bool
-    times: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.f0_hz = np.asarray(self.f0_hz, dtype=np.float64)
@@ -59,10 +59,10 @@ class PitchContour:
             raise ArgumentError("contour fields must have equal length")
         if self.hop_seconds <= 0:
             raise ArgumentError("hop_seconds must be positive")
-        if self.times is None:
-            self.times = np.arange(len(self.f0_hz)) * self.hop_seconds
-        else:
-            self.times = np.asarray(self.times, dtype=np.float64)
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.f0_hz)) * self.hop_seconds
 
     def __len__(self) -> int:
         return len(self.f0_hz)
@@ -140,13 +140,14 @@ def write_wav(buf: AudioBuffer, path, dtype: str = "pcm16") -> None:
 
 
 def resample_linear(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
-    """Linearly resample to target_hz; identity when rates already match."""
+    """Linearly resample to target_hz; returns buf itself when it is already
+    at target_hz."""
     if target_hz <= 0:
         raise ArgumentError("target_hz must be positive")
+    if target_hz == buf.sample_rate_hz:
+        return buf
     if len(buf.samples) == 0:
         raise ArgumentError("cannot resample an empty buffer")
-    if target_hz == buf.sample_rate_hz:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate_hz)
     n_out = int(round(len(buf.samples) * target_hz / buf.sample_rate_hz))
     t_out = np.arange(n_out) / target_hz
     t_in = np.arange(len(buf.samples)) / buf.sample_rate_hz
@@ -162,13 +163,14 @@ HOP_TOLERANCE_S = 2e-6
 
 def write_contour_csv(contour: PitchContour, path) -> None:
     """Write `time_sec,f0_hz,confidence,voiced` rows; empty f0 where absent."""
+    times = contour.times
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for i in range(len(contour)):
             f0 = contour.f0_hz[i]
             writer.writerow([
-                f"{contour.times[i]:.6f}",
+                f"{times[i]:.6f}",
                 "" if np.isnan(f0) else f"{f0:.6f}",
                 f"{contour.confidence[i]:.6f}",
                 int(contour.voiced[i]),
@@ -178,7 +180,9 @@ def write_contour_csv(contour: PitchContour, path) -> None:
 def read_contour_csv(path) -> PitchContour:
     """Read a contour CSV; the hop is the step between the first two times.
 
-    Every later step must match that hop within HOP_TOLERANCE_S.
+    The first time must be 0 and every later step must match that hop, both
+    within HOP_TOLERANCE_S: frames are paired by index, so a contour that
+    starts late would be scored against the wrong truth frames.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -204,6 +208,8 @@ def read_contour_csv(path) -> PitchContour:
                 f"{path}: non-numeric field in row {i}: {row}") from None
     if not np.all(np.isfinite(times)):
         raise FormatError(f"{path}: non-finite time")
+    if times and abs(times[0]) > HOP_TOLERANCE_S:
+        raise FormatError(f"{path}: first time is {times[0]:.6f} s, not 0")
     if len(times) >= 2:
         hop = times[1] - times[0]
         steps = np.diff(times)
@@ -216,5 +222,4 @@ def read_contour_csv(path) -> PitchContour:
         hop = HOP_SECONDS
     return PitchContour(hop_seconds=hop, f0_hz=np.array(f0s),
                         confidence=np.array(confs),
-                        voiced=np.array(voiced, dtype=bool),
-                        times=np.array(times))
+                        voiced=np.array(voiced, dtype=bool))

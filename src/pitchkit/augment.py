@@ -17,10 +17,14 @@ class AugmentConfig:
     noise_signals: list = field(default_factory=list)  # arrays at the target rate
 
     def __post_init__(self):
-        if self.gain_db_range[0] > self.gain_db_range[1]:
-            raise ArgumentError("gain range is reversed")
-        if self.snr_db_range[0] > self.snr_db_range[1]:
-            raise ArgumentError("snr range is reversed")
+        for name, (lo, hi) in (("gain", self.gain_db_range),
+                               ("snr", self.snr_db_range)):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ArgumentError(f"{name} range ({lo}, {hi}) is not finite")
+            if lo > hi:
+                raise ArgumentError(f"{name} range is reversed")
+        if any(len(src) == 0 for src in self.noise_signals):
+            raise ArgumentError("a noise signal has no samples")
 
 
 def noise_gamma(p_sig: float, p_noise: float, snr_db: float) -> float:

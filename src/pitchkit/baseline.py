@@ -18,8 +18,7 @@ def acf_contour(buf: AudioBuffer) -> PitchContour:
     Confidence is the normalized peak height, and a frame is voiced when it
     reaches 0.5; parabolic interpolation refines the lag.
     """
-    if buf.sample_rate_hz != CANONICAL_SR:
-        buf = resample_linear(buf, CANONICAL_SR)
+    buf = resample_linear(buf, CANONICAL_SR)
     x = buf.samples
     n, h, sr = WINDOW, HOP, CANONICAL_SR
     if len(x) < n:

@@ -58,13 +58,22 @@ def _print_report(report: EvalReport, out_csv=None):
 
 
 def _load_noise(noise_dir):
+    """Samples at CANONICAL_SR of each *.wav in noise_dir; none without a
+    directory. A directory that is missing or holds no *.wav, and a WAV
+    with no samples, raise ArgumentError."""
+    if not noise_dir:
+        return []
+    if not Path(noise_dir).is_dir():
+        raise ArgumentError(f"noise directory {noise_dir} does not exist")
+    paths = sorted(Path(noise_dir).glob("*.wav"))
+    if not paths:
+        raise ArgumentError(f"noise directory {noise_dir} holds no *.wav")
     signals = []
-    if noise_dir:
-        for path in sorted(Path(noise_dir).glob("*.wav")):
-            buf = read_wav(path)
-            if buf.sample_rate_hz != CANONICAL_SR:
-                buf = resample_linear(buf, CANONICAL_SR)
-            signals.append(buf.samples)
+    for path in paths:
+        buf = read_wav(path)
+        if len(buf.samples) == 0:
+            raise ArgumentError(f"noise file {path} has no samples")
+        signals.append(resample_linear(buf, CANONICAL_SR).samples)
     return signals
 
 

@@ -55,11 +55,6 @@ def decode_probs(probs: np.ndarray, cfg: DecoderConfig):
     return f_hat, conf, voiced
 
 
-def decode_frame(probs_row: np.ndarray, cfg: DecoderConfig):
-    f, c, v = decode_probs(np.asarray(probs_row)[None, :], cfg)
-    return float(f[0]), float(c[0]), bool(v[0])
-
-
 def decode_contour(logits: np.ndarray, cfg: DecoderConfig) -> PitchContour:
     """(T, N_BINS) logits -> contour on the front-end's HOP_SECONDS grid."""
     probs = softmax_rows(logits) if len(logits) else np.zeros((0, N_BINS))

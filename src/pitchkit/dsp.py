@@ -109,13 +109,6 @@ def rfft_radix2(frames: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (m + 1,))
 
 
-def _samples(buf: AudioBuffer) -> np.ndarray:
-    if buf.sample_rate_hz != CANONICAL_SR:
-        raise ArgumentError(
-            f"buffer rate {buf.sample_rate_hz} != front-end rate {CANONICAL_SR}")
-    return buf.samples
-
-
 def _magnitude(samples: np.ndarray) -> np.ndarray:
     """(..., L) samples -> (..., T, N/2+1) magnitudes of left-aligned,
     unpadded Hann frames, HOP samples apart."""
@@ -127,11 +120,6 @@ def _magnitude(samples: np.ndarray) -> np.ndarray:
     return np.abs(rfft_radix2(frames * HANN))
 
 
-def stft_magnitude(buf: AudioBuffer) -> np.ndarray:
-    """Magnitude STFT, shape (T, N/2+1); frames left-aligned, no padding."""
-    return _magnitude(_samples(buf))
-
-
 def band_select(full: np.ndarray) -> np.ndarray:
     """Keep columns K_MIN..K_MAX inclusive of the half spectrum (last axis)."""
     expected = WINDOW // 2 + 1
@@ -140,12 +128,12 @@ def band_select(full: np.ndarray) -> np.ndarray:
     return full[..., K_MIN:K_MAX + 1]
 
 
-def log_compress(mag: np.ndarray, epsilon: float = LOG_EPSILON) -> np.ndarray:
-    """Elementwise log(mag + epsilon)."""
+def log_compress(mag: np.ndarray) -> np.ndarray:
+    """Elementwise log(mag + LOG_EPSILON)."""
     mag = np.asarray(mag)
     if np.any(mag < 0):
         raise DomainError("magnitudes must be nonnegative")
-    return np.log(mag + epsilon)
+    return np.log(mag + LOG_EPSILON)
 
 
 def batch_spectrogram(samples: np.ndarray) -> np.ndarray:
@@ -156,4 +144,7 @@ def batch_spectrogram(samples: np.ndarray) -> np.ndarray:
 
 def spectrogram(buf: AudioBuffer) -> np.ndarray:
     """(T, N_BANDS) log band magnitudes of one buffer at CANONICAL_SR."""
-    return batch_spectrogram(_samples(buf))
+    if buf.sample_rate_hz != CANONICAL_SR:
+        raise ArgumentError(
+            f"buffer rate {buf.sample_rate_hz} != front-end rate {CANONICAL_SR}")
+    return batch_spectrogram(buf.samples)

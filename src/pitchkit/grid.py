@@ -20,12 +20,6 @@ CENTERS = F_MIN_HZ * 2.0 ** (np.arange(N_BINS) * LOG2_STEP)
 CENTERS.flags.writeable = False
 
 
-def bin_center(b: int) -> float:
-    if not 0 <= b < N_BINS:
-        raise IndexError(f"bin {b} outside [0, {N_BINS})")
-    return float(CENTERS[b])
-
-
 def freq_to_bin(f) -> np.ndarray | int:
     """Nearest bin index in log2 space, clamped to the grid range."""
     f = np.asarray(f, dtype=np.float64)

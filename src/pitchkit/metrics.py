@@ -181,10 +181,13 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
 
     estimator: AudioBuffer -> PitchContour. corpus: iterable of
     (AudioBuffer, truth PitchContour). noise_signals: optional list of
-    arrays; Gaussian noise is used when empty. A file is skipped when it is
-    silent or when its metrics are undefined (e.g. no frame predicted
-    voiced); UndefinedMetric is raised only when every file was skipped.
+    non-empty arrays; Gaussian noise is used when the list is empty. A file
+    is skipped when it is silent or when its metrics are undefined (e.g. no
+    frame predicted voiced); UndefinedMetric is raised only when every file
+    was skipped.
     """
+    if noise_signals and any(len(src) == 0 for src in noise_signals):
+        raise ArgumentError("a noise signal has no samples")
     rng = np.random.default_rng(seed)
     reports = []
     for buf, truth in corpus:

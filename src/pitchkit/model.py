@@ -115,10 +115,9 @@ def init_params(seed: int, dtype=np.float32) -> ModelParams:
     return ModelParams(conv_w, gamma, beta, mean, var, proj_w, proj_b)
 
 
-def count_params(p: ModelParams, breakdown: bool = False):
-    counts = {name: arr.size for name, arr in p.trainable().items()}
-    total = sum(counts.values())
-    return (total, counts) if breakdown else total
+def count_params(p: ModelParams) -> int:
+    """Number of trainable values."""
+    return sum(arr.size for arr in p.trainable().values())
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +228,20 @@ def _conv_backward(x, w, d_out):
     return dx, dw
 
 
-def _bn_forward(x, gamma, beta, run_mean, run_var, train, update_running):
-    """Batch norm over all but the channel axis; returns (y, (x_hat,
-    inv_std)). x is left as it is: x_hat is centred once into a new array,
-    then scaled in place."""
-    if train:
-        n = x.size // x.shape[-1]
-        mean = x.mean(axis=(0, 1, 2))
-        x_hat = x - mean
-        flat = x_hat.reshape(n, -1)
-        var = np.einsum("nc,nc->c", flat, flat) / n
-        if update_running:
-            run_mean *= 1.0 - BN_MOMENTUM
-            run_mean += BN_MOMENTUM * mean
-            run_var *= 1.0 - BN_MOMENTUM
-            run_var += BN_MOMENTUM * var
-    else:
-        mean, var = run_mean, run_var
-        x_hat = x - mean
+def _bn_forward(x, gamma, beta, run_mean, run_var):
+    """Train-mode batch norm over all but the channel axis, which also moves
+    the running statistics BN_MOMENTUM of the way to the batch's; returns
+    (y, (x_hat, inv_std)). x is left as it is: x_hat is centred once into a
+    new array, then scaled in place."""
+    n = x.size // x.shape[-1]
+    mean = x.mean(axis=(0, 1, 2))
+    x_hat = x - mean
+    flat = x_hat.reshape(n, -1)
+    var = np.einsum("nc,nc->c", flat, flat) / n
+    run_mean *= 1.0 - BN_MOMENTUM
+    run_mean += BN_MOMENTUM * mean
+    run_var *= 1.0 - BN_MOMENTUM
+    run_var += BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat *= inv_std
     y = x_hat * gamma
@@ -291,13 +286,13 @@ def _eval_logits(p: ModelParams, layers, x):
     return feat @ p.proj_w.T + p.proj_b, feat
 
 
-def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False,
-                  update_running: bool = True):
+def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False):
     """Run the network on a (B, T, 132) batch of spectrogram segments.
 
-    Returns (logits (B, T, 200), cache). Eval mode uses running batch-norm
-    statistics, folded into the conv kernels, and never mutates params; its
-    cache holds only the final feature map "feat".
+    Returns (logits (B, T, 200), cache). Train mode normalises with the
+    batch statistics and updates the running ones. Eval mode uses
+    the running statistics, folded into the conv kernels, and never mutates
+    params; its cache holds only the final feature map "feat".
     """
     x = np.asarray(x, dtype=p.dtype)
     if x.ndim != 3 or x.shape[2] != N_BANDS:
@@ -312,8 +307,7 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False,
         z = _conv_forward(h, p.conv_w[i],
                           np.zeros(len(p.conv_w[i]), dtype=p.dtype))
         y, (x_hat, inv_std) = _bn_forward(
-            z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i],
-            train, update_running)
+            z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i])
         relu_mask = y > 0.0
         h = np.maximum(y, 0.0, out=y)
         layers.append((layer_in, x_hat, inv_std, relu_mask))

@@ -11,8 +11,7 @@ def analyze(buf: AudioBuffer, params: net.ModelParams,
             dec_cfg: DecoderConfig | None = None) -> PitchContour:
     """Estimate the pitch contour of an audio buffer at any sample rate."""
     dec_cfg = dec_cfg or DecoderConfig()
-    if buf.sample_rate_hz != CANONICAL_SR:
-        buf = resample_linear(buf, CANONICAL_SR)
+    buf = resample_linear(buf, CANONICAL_SR)
     logits = net.forward(params, spectrogram(buf))
     return decode_contour(logits, dec_cfg)
 

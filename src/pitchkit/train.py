@@ -118,8 +118,7 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
             raise AlignmentError(
                 f"example {i}: truth hop {truth.hop_seconds} s is not the "
                 f"STFT hop {HOP_SECONDS} s")
-    corpus = [(buf if buf.sample_rate_hz == CANONICAL_SR
-               else resample_linear(buf, CANONICAL_SR), truth)
+    corpus = [(resample_linear(buf, CANONICAL_SR), truth)
               for buf, truth in corpus]
     rng = np.random.default_rng(cfg.seed)
     if params is None:

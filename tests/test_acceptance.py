@@ -12,8 +12,8 @@ import pytest
 
 from pitchkit import dsp, grid, model as net
 from pitchkit.audio_io import HOP, AudioBuffer
-from pitchkit.decode import DecoderConfig, decode_frame
-from pitchkit.dsp import hann_window, stft_magnitude
+from pitchkit.decode import DecoderConfig, decode_probs
+from pitchkit.dsp import hann_window
 from pitchkit.losses import loss_total, softmax_rows
 from pitchkit.metrics import (average_reports, evaluate, evaluate_noisy,
                               harmonic_mean, rca, rpa)
@@ -52,7 +52,7 @@ def test_criterion_01_stft_matches_naive_dft():
     for _ in range(100):
         length = int(rng.integers(1024, 8193))
         x = rng.standard_normal(length)
-        fast = stft_magnitude(AudioBuffer(x, 16000))
+        fast = dsp._magnitude(x)  # the framing and FFT of `spectrogram`
         slow = naive_stft_magnitude(x)
         denom = np.maximum(np.abs(slow), 1e-30)
         worst = max(worst, float(np.max(np.abs(fast - slow) / denom)))
@@ -81,10 +81,10 @@ def test_criterion_02_band_and_grid_constants():
 
 def test_criterion_03_parameter_budget():
     params = net.init_params(0)
-    total, breakdown = net.count_params(params, breakdown=True)
+    total = net.count_params(params)
     print("parameter breakdown:")
-    for name, n in breakdown.items():
-        print(f"  {name:<24}{n}")
+    for name, arr in params.trainable().items():
+        print(f"  {name:<24}{arr.size}")
     print(f"  {'total':<24}{total}")
     reference = 95842
     rel = abs(total - reference) / reference
@@ -104,13 +104,12 @@ def test_criterion_04_gradient_check():
     mask = np.ones(4, dtype=bool)
 
     def loss_of(p):
-        logits, _ = net.forward_batch(p, x, train=True, update_running=False)
+        logits, _ = net.forward_batch(p, x, train=True)
         total, _, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
                                     mask)
         return total
 
-    logits, cache = net.forward_batch(params, x, train=True,
-                                      update_running=False)
+    logits, cache = net.forward_batch(params, x, train=True)
     _, d_flat, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
                                  mask)
     grads = net.backward_batch(params, cache, d_flat.reshape(logits.shape))
@@ -144,12 +143,12 @@ def test_criterion_04_gradient_check():
 def test_criterion_05_decoder_properties():
     row = np.zeros(200)
     row[123] = 1.0
-    f, c, _ = decode_frame(row, DEC)
-    assert f == grid.bin_center(123)
+    (f,), (c,), _ = decode_probs(row[None], DEC)
+    assert f == grid.CENTERS[123]
     assert c == 1.0
 
     uniform = np.full(200, 1.0 / 200.0)
-    _, c, _ = decode_frame(uniform, DEC)
+    _, (c,), _ = decode_probs(uniform[None], DEC)
     assert c == pytest.approx(19.0 / 200.0, abs=1e-12)
 
     rng = np.random.default_rng(55)
@@ -157,10 +156,10 @@ def test_criterion_05_decoder_properties():
         0.1, 15.0, size=(10000, 1))
     probs = softmax_rows(logits)
     for row in probs:
-        f, c, _ = decode_frame(row, DEC)
+        (f,), (c,), _ = decode_probs(row[None], DEC)
         best = int(row.argmax())
         lo_bin = min(max(best - DEC.half_width, 0), 200 - 19)
-        assert grid.bin_center(lo_bin) <= f <= grid.bin_center(lo_bin + 18)
+        assert grid.CENTERS[lo_bin] <= f <= grid.CENTERS[lo_bin + 18]
         assert 0.0 <= c <= 1.0
 
 

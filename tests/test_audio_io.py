@@ -78,6 +78,7 @@ def test_malformed_header(tmp_path):
 def test_resample_identity():
     buf = AudioBuffer(np.linspace(-1, 1, 1000), 16000)
     out = resample_linear(buf, 16000)
+    assert out is buf
     np.testing.assert_array_equal(out.samples, buf.samples)
 
 
@@ -167,6 +168,22 @@ def test_contour_csv_off_hop_grid(tmp_path):
     path.write_text("time_sec,f0_hz,confidence,voiced\n" + "\n".join(rows))
     with pytest.raises(FormatError, match="hop grid"):
         read_contour_csv(path)
+
+
+@pytest.mark.parametrize("first,ok", [("0.480000", False),
+                                      ("-0.016000", False),
+                                      ("0.000003", False), ("0.000001", True)])
+def test_contour_csv_must_start_at_zero(tmp_path, first, ok):
+    # frames pair up by index, so rows that start late would be scored
+    # against the wrong truth frames; times are rounded to 1e-6 s
+    path = tmp_path / "c.csv"
+    rows = [f"{float(first) + i * 0.016:.6f},220.0,0.9,1" for i in range(4)]
+    path.write_text("time_sec,f0_hz,confidence,voiced\n" + "\n".join(rows))
+    if ok:
+        assert read_contour_csv(path).times[0] == 0.0
+    else:
+        with pytest.raises(FormatError, match="not 0"):
+            read_contour_csv(path)
 
 
 def test_contour_csv_non_finite_time(tmp_path):

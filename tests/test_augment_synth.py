@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pitchkit.augment import AugmentConfig, augment, mix_at_snr, noise_gamma
-from pitchkit.dsp import stft_magnitude
+from pitchkit import dsp
 from pitchkit.errors import ArgumentError, SkipExample
 from pitchkit.synth import SynthSpec, f0_trajectory, random_spec, synth_example
 
@@ -67,6 +67,14 @@ def test_gaussian_fallback_without_sources():
     assert np.std(out - x) > 0.0
 
 
+@pytest.mark.parametrize("kwargs", [{"gain_db_range": (np.nan, 6.0)},
+                                    {"snr_db_range": (10.0, np.inf)},
+                                    {"noise_signals": [np.zeros(0)]}])
+def test_unusable_augment_config_rejected(kwargs):
+    with pytest.raises(ArgumentError):
+        AugmentConfig(**kwargs)
+
+
 def test_mix_at_snr_zero_noise_passthrough():
     x = np.ones(100) * 0.3
     out = mix_at_snr(x, np.zeros(100), 10.0)
@@ -78,7 +86,7 @@ def test_mix_at_snr_zero_noise_passthrough():
 def test_constant_tone_spectral_peak():
     spec = SynthSpec(kind="constant", f0_hz=220.0, n_harmonics=1)
     buf, truth = synth_example(spec)
-    mag = stft_magnitude(buf)
+    mag = dsp._magnitude(buf.samples)
     assert int(mag[5].argmax()) == 14  # 220 / 15.625 = 14.08
     assert np.all(truth.f0_hz == 220.0)
 
@@ -120,7 +128,7 @@ def test_truth_frames_match_the_front_end():
     buf, truth = synth_example(spec)
     assert buf.sample_rate_hz == 16000
     assert len(truth) == (len(buf.samples) - 1024) // 256 + 1
-    assert len(truth) == len(stft_magnitude(buf))
+    assert len(truth) == len(dsp._magnitude(buf.samples))
     assert truth.hop_seconds == 0.016
     assert truth.times[-1] < spec.duration_s
     with pytest.raises(TypeError):

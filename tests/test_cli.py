@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pitchkit import model as net
-from pitchkit.audio_io import (read_contour_csv, read_wav,
+from pitchkit.audio_io import (AudioBuffer, read_contour_csv, read_wav,
                                write_contour_csv, write_wav)
 from pitchkit.cli import build_parser, main
 from pitchkit.synth import SynthSpec, random_spec, synth_example
@@ -162,6 +162,50 @@ def test_train_bad_loss_weight_exits_1(workdir, tone_manifest, capsys, lam):
     assert "lam" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["gain_db_min=nan", "snr_db_max=inf"])
+def test_train_non_finite_augment_range_exits_1(workdir, tone_manifest,
+                                                capsys, line):
+    cfg = workdir / "range.cfg"
+    cfg.write_text(line + "\n")
+    out = workdir / "never.bin"
+    rc = main(["train", str(tone_manifest), str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert not out.exists()
+    assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def noise_dirs(workdir):
+    """A missing directory, one with no WAV, and one with an empty WAV."""
+    empty_dir = workdir / "no_wav"
+    empty_dir.mkdir()
+    (empty_dir / "noise.txt").write_text("not audio")
+    silent_dir = workdir / "empty_wav"
+    silent_dir.mkdir()
+    write_wav(AudioBuffer(np.zeros(0), 16000), silent_dir / "n.wav")
+    return {"does not exist": workdir / "absent",
+            "holds no *.wav": empty_dir, "has no samples": silent_dir}
+
+
+@pytest.mark.parametrize("case", ["does not exist", "holds no *.wav",
+                                  "has no samples"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unusable_noise_dir_exits_1(workdir, tone_manifest, noise_dirs,
+                                    capsys, case, command):
+    noise = ["--noise", str(noise_dirs[case])]
+    if command == "train":
+        out = workdir / "never.bin"
+        args = ["train", str(tone_manifest), str(out), "--epochs", "1"]
+    else:
+        out = workdir / "never_report.csv"
+        args = ["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
+                "--weights", str(workdir / "w.bin"), "--noisy",
+                "--out-csv", str(out)]
+    assert main(args + noise) == 1
+    assert not out.exists()
+    assert case in capsys.readouterr().err
+
+
 def test_train_foreign_hop_exits_4(workdir, capsys):
     d = workdir / "hop10_corpus"
     d.mkdir()
@@ -219,6 +263,20 @@ def test_eval_alignment_failure(workdir):
                    "0.010000,220.000000,1.000000,1\n")
     rc = main(["eval", str(bad), str(workdir / "tone.csv")])
     assert rc == 4
+
+
+def test_eval_late_start_contour_rejected(workdir, capsys):
+    # an exact prediction whose rows start at 0.48 s (frame 30): scoring it
+    # frame by frame against the truth would pair every frame with the
+    # wrong one
+    truth = read_contour_csv(workdir / "tone.csv")
+    rows = ["time_sec,f0_hz,confidence,voiced"] + [
+        f"{0.48 + i * 0.016:.6f},{f:.6f},1.000000,1"
+        for i, f in enumerate(truth.f0_hz[30:])]
+    late = workdir / "late.csv"
+    late.write_text("\n".join(rows) + "\n")
+    assert main(["eval", str(late), str(workdir / "tone.csv")]) == 1
+    assert "not 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--noisy"], ["--snr", "5"],

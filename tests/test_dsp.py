@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from pitchkit.audio_io import AudioBuffer
 from pitchkit import dsp
-from pitchkit.dsp import (band_select, hann_window, log_compress, rfft_radix2,
-                          stft_magnitude)
+from pitchkit.dsp import band_select, hann_window, log_compress, rfft_radix2
 from pitchkit.errors import ArgumentError, DomainError, InputTooShort, ShapeError
 
 
@@ -69,26 +67,26 @@ def test_config_derived_bins():
 
 
 def test_stft_single_frame():
-    buf = AudioBuffer(np.random.default_rng(0).standard_normal(1024), 16000)
-    assert stft_magnitude(buf).shape == (1, 513)
+    x = np.random.default_rng(0).standard_normal(1024)
+    assert dsp._magnitude(x).shape == (1, 513)
 
 
 def test_stft_zero_signal():
-    mag = stft_magnitude(AudioBuffer(np.zeros(4096), 16000))
+    mag = dsp._magnitude(np.zeros(4096))
     assert np.all(mag == 0.0)
 
 
 def test_stft_too_short():
     with pytest.raises(InputTooShort):
-        stft_magnitude(AudioBuffer(np.zeros(512), 16000))
+        dsp._magnitude(np.zeros(512))
 
 
 def test_stft_sine_peak_and_oracle():
     t = np.arange(1024) / 16000
-    buf = AudioBuffer(np.sin(2 * np.pi * 250.0 * t), 16000)
-    mag = stft_magnitude(buf)
+    x = np.sin(2 * np.pi * 250.0 * t)
+    mag = dsp._magnitude(x)
     assert mag[0].argmax() == 16
-    oracle = naive_dft_magnitude(buf.samples * hann_window(1024))
+    oracle = naive_dft_magnitude(x * hann_window(1024))
     assert np.abs(mag[0] - oracle).max() <= 1e-6 * oracle.max()
 
 
@@ -98,7 +96,7 @@ def test_stft_matches_dft_oracle_random():
     for _ in range(10):
         n = int(rng.integers(1024, 4097))
         x = rng.standard_normal(n)
-        mag = stft_magnitude(AudioBuffer(x, 16000))
+        mag = dsp._magnitude(x)
         m = int(rng.integers(mag.shape[0]))
         oracle = naive_dft_magnitude(x[m * 256:m * 256 + 1024] * w)
         assert np.abs(mag[m] - oracle).max() <= 1e-6 * oracle.max()
@@ -118,8 +116,8 @@ def test_parseval_per_frame():
 
 def test_deterministic_bits():
     x = np.random.default_rng(5).standard_normal(8000)
-    a = stft_magnitude(AudioBuffer(x, 16000))
-    b = stft_magnitude(AudioBuffer(x, 16000))
+    a = dsp._magnitude(x)
+    b = dsp._magnitude(x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -145,7 +143,7 @@ def test_band_select_wrong_shape():
 
 
 def test_log_compress_values():
-    out = log_compress(np.array([[0.0, 1.0 - 1e-8]]), 1e-8)
+    out = log_compress(np.array([[0.0, 1.0 - 1e-8]]))
     assert out[0, 0] == pytest.approx(np.log(1e-8), abs=1e-9)
     assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 

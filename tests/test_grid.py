@@ -9,8 +9,8 @@ from pitchkit.grid import cents_error
 
 
 def test_endpoints():
-    assert grid.bin_center(0) == pytest.approx(46.875, abs=1e-9)
-    assert grid.bin_center(199) == pytest.approx(2093.75, rel=1e-12)
+    assert grid.CENTERS[0] == pytest.approx(46.875, abs=1e-9)
+    assert grid.CENTERS[199] == pytest.approx(2093.75, rel=1e-12)
 
 
 def test_bin_spacing_cents():
@@ -18,14 +18,13 @@ def test_bin_spacing_cents():
 
 
 def test_centers_constant_is_read_only():
-    assert list(grid.CENTERS) == [grid.bin_center(b) for b in range(grid.N_BINS)]
+    # log-spaced from F_MIN_HZ to F_MAX_HZ
+    ratio = grid.F_MAX_HZ / grid.F_MIN_HZ
+    expected = [grid.F_MIN_HZ * ratio ** (b / (grid.N_BINS - 1))
+                for b in range(grid.N_BINS)]
+    np.testing.assert_allclose(grid.CENTERS, expected, rtol=1e-12)
     with pytest.raises(ValueError):
         grid.CENTERS[0] = 1.0
-
-
-def test_bin_center_out_of_range():
-    with pytest.raises(IndexError):
-        grid.bin_center(200)
 
 
 def test_freq_to_bin_endpoint_and_clamp():
@@ -36,7 +35,7 @@ def test_freq_to_bin_endpoint_and_clamp():
 
 def test_freq_to_bin_round_trip_all_bins():
     for b in range(200):
-        assert grid.freq_to_bin(grid.bin_center(b)) == b
+        assert grid.freq_to_bin(grid.CENTERS[b]) == b
 
 
 def test_freq_to_bin_nonpositive():
@@ -64,5 +63,5 @@ def test_cents_error_antisymmetric(a, b):
 @given(st.floats(min_value=46.875, max_value=2093.75))
 def test_quantization_bounded_by_half_step(f):
     b = grid.freq_to_bin(f)
-    err = cents_error(grid.bin_center(b), f)
+    err = cents_error(grid.CENTERS[b], f)
     assert abs(err) <= grid.CENTS_PER_BIN / 2 + 1e-9

@@ -3,8 +3,14 @@ import pytest
 
 from pitchkit.errors import EmptyBatchError
 from pitchkit import grid
-from pitchkit.losses import loss_ce, loss_cents, loss_total, softmax_rows
+from pitchkit.losses import loss_total, softmax_rows
 
+
+
+def ce_only(logits, targets, mask):
+    """(ce, d_ce) from loss_total with lam = 0; f_true is then unused."""
+    return loss_total(logits, targets, np.ones(len(targets)), mask,
+                      lam=0.0)[:2]
 
 
 def fd_check(loss_fn, logits, tol=1e-5):
@@ -26,20 +32,20 @@ def fd_check(loss_fn, logits, tol=1e-5):
 
 def test_ce_uniform_logits():
     z = np.zeros((3, 200))
-    loss, _ = loss_ce(z, [0, 5, 100], np.ones(3, bool))
+    loss, _ = ce_only(z, [0, 5, 100], np.ones(3, bool))
     assert loss == pytest.approx(np.log(200), abs=1e-12)
 
 
 def test_ce_perfect_prediction():
     z = np.zeros((1, 200))
     z[0, 42] = 200.0
-    loss, _ = loss_ce(z, [42], np.ones(1, bool))
+    loss, _ = ce_only(z, [42], np.ones(1, bool))
     assert loss < 1e-12
 
 
 def test_ce_no_voiced():
     with pytest.raises(EmptyBatchError):
-        loss_ce(np.zeros((2, 200)), [0, 0], np.zeros(2, bool))
+        ce_only(np.zeros((2, 200)), [0, 0], np.zeros(2, bool))
 
 
 def test_ce_gradient_fd():
@@ -47,13 +53,13 @@ def test_ce_gradient_fd():
     z = rng.standard_normal((4, 200))
     targets = rng.integers(0, 200, 4)
     mask = np.array([True, True, False, True])
-    fd_check(lambda zz: loss_ce(zz, targets, mask), z)
+    fd_check(lambda zz: ce_only(zz, targets, mask), z)
 
 
 def test_cents_delta_on_true_bin():
     z = np.zeros((1, 200))
     z[0, 50] = 500.0
-    loss, _ = loss_cents(z, [grid.bin_center(50)], np.ones(1, bool))
+    *_, loss = loss_total(z, [50], [grid.CENTERS[50]], np.ones(1, bool))
     assert loss < 1e-9
 
 
@@ -63,16 +69,37 @@ def test_cents_split_mass_geometric_midpoint():
     z[0, 199] = 0.0
     mid = np.sqrt(grid.F_MIN_HZ * grid.F_MAX_HZ)
     assert mid == pytest.approx(313.2803, abs=1e-3)
-    loss, _ = loss_cents(z, [mid], np.ones(1, bool))
+    *_, loss = loss_total(z, [0], [mid], np.ones(1, bool))
     assert loss < 1e-9
 
 
 def test_cents_gradient_fd():
+    # the CE gradient is checked on its own above; lam = 1 adds the cents
+    # term's gradient to it
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 200))
+    targets = rng.integers(0, 200, 4)
     f_true = rng.uniform(100, 1000, 4)
     mask = np.ones(4, bool)
-    fd_check(lambda zz: loss_cents(zz, f_true, mask), z)
+    fd_check(lambda zz: loss_total(zz, targets, f_true, mask, lam=1.0)[:2], z)
+
+
+def reference_terms(z, targets, f_true, mask):
+    """(ce, d_ce, cents, d_cents) by the textbook formulas, as an oracle."""
+    p = softmax_rows(z)
+    rows = np.flatnonzero(mask)
+    n = len(rows)
+    ce = -np.log(p[rows, targets[rows]]).mean()
+    d_ce = np.zeros_like(p)
+    d_ce[rows] = p[rows]
+    d_ce[rows, targets[rows]] -= 1.0
+    log_c = np.log(grid.CENTERS)
+    residual = p @ log_c - np.log(f_true)
+    cents = np.abs(residual[rows]).mean()
+    d_cents = np.zeros_like(p)
+    d_cents[rows] = (np.sign(residual[rows])[:, None] * p[rows]
+                     * (log_c - (p @ log_c)[rows, None]))
+    return ce, d_ce / n, cents, d_cents / n
 
 
 def test_total_zero_lambda_equals_ce():
@@ -81,9 +108,9 @@ def test_total_zero_lambda_equals_ce():
     targets = rng.integers(0, 200, 4)
     f_true = grid.CENTERS[targets]
     mask = np.ones(4, bool)
-    ce, d_ce = loss_ce(z, targets, mask)
-    total, d, _, _ = loss_total(z, targets, f_true, mask, lam=0.0)
-    assert total == ce
+    ce, d_ce, _, _ = reference_terms(z, targets, f_true, mask)
+    total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask, lam=0.0)
+    assert total == ce_out == ce and cents_out == 0.0
     np.testing.assert_array_equal(d, d_ce)
 
 
@@ -93,8 +120,7 @@ def test_total_additivity():
     targets = rng.integers(0, 200, 4)
     f_true = rng.uniform(100, 1000, 4)
     mask = np.ones(4, bool)
-    ce, d_ce = loss_ce(z, targets, mask)
-    cents, d_cents = loss_cents(z, f_true, mask)
+    ce, d_ce, cents, d_cents = reference_terms(z, targets, f_true, mask)
     total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask)
     assert total == pytest.approx(ce + cents, abs=1e-9)
     np.testing.assert_allclose(d, d_ce + d_cents, atol=1e-12)
@@ -119,14 +145,13 @@ def test_softmax_saturation():
 
 @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0, 4.0])
 def test_total_equals_separate_terms(lam):
-    # the shared softmax must leave both terms as the separate functions give
+    # the shared softmax must leave both terms as the textbook formulas give
     rng = np.random.default_rng(6)
     z = rng.standard_normal((12, 200)) * 3
     targets = rng.integers(0, 200, 12)
     f_true = rng.uniform(100, 1000, 12)
     mask = rng.random(12) < 0.7
-    ce, d_ce = loss_ce(z, targets, mask)
-    cents, d_cents = loss_cents(z, f_true, mask)
+    ce, d_ce, cents, d_cents = reference_terms(z, targets, f_true, mask)
     total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask,
                                              lam=lam)
     assert abs(ce_out - ce) <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from pitchkit.audio_io import AudioBuffer, PitchContour
 from pitchkit.baseline import acf_contour
-from pitchkit.errors import AlignmentError, UndefinedMetric
+from pitchkit.errors import AlignmentError, ArgumentError, UndefinedMetric
 from pitchkit.metrics import (AlignedFrames, align, cents_accuracy, evaluate,
                               evaluate_noisy, gross_error_accuracy,
                               harmonic_mean, octave_accuracy, rca, rpa,
@@ -272,6 +272,14 @@ def test_evaluate_noisy_deterministic():
     r1 = evaluate_noisy(est, [(buf, truth)], snr_db=10.0, seed=9)
     r2 = evaluate_noisy(est, [(buf, truth)], snr_db=10.0, seed=9)
     assert r1.as_dict() == r2.as_dict()
+
+
+def test_evaluate_noisy_rejects_empty_noise_signal():
+    buf = AudioBuffer(np.full(16000, 0.1), 16000)
+    truth = contour(np.full(59, 220.0))
+    with pytest.raises(ArgumentError, match="no samples"):
+        evaluate_noisy(_identity_estimator(truth), [(buf, truth)],
+                       noise_signals=[np.ones(100), np.zeros(0)])
 
 
 def test_evaluate_noisy_mixed_snr_exact():

@@ -23,8 +23,7 @@ def random_batch(rng, frames=4):
 
 
 def total_loss(params, x, targets, f_true, mask):
-    logits, cache = net.forward_batch(params, x, train=True,
-                                      update_running=False)
+    logits, cache = net.forward_batch(params, x, train=True)
     total, d, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
                                 mask)
     return total, d.reshape(logits.shape), cache
@@ -48,7 +47,8 @@ def test_init_biases_zero_and_kernel_bound():
 
 def test_count_params_breakdown():
     p = net.init_params(1)
-    total, counts = net.count_params(p, breakdown=True)
+    total = net.count_params(p)
+    counts = {name: arr.size for name, arr in p.trainable().items()}
     conv = sum(v for k, v in counts.items() if k.startswith("conv"))
     assert conv == 200 + 3200 + 12800 + 51200 + 1600 == 69000
     assert counts["proj.weight"] + counts["proj.bias"] == 26600
@@ -97,7 +97,7 @@ def test_eval_batch_size_invariance():
 def test_backward_zero_gradient():
     p = net.init_params(5, dtype=np.float64)
     x = np.random.default_rng(0).standard_normal((1, 4, 132))
-    _, cache = net.forward_batch(p, x, train=True, update_running=False)
+    _, cache = net.forward_batch(p, x, train=True)
     grads = net.backward_batch(p, cache, np.zeros((1, 4, 200)))
     for g in grads.values():
         assert np.all(g == 0.0)
@@ -276,7 +276,7 @@ def reference_bn_backward(d_out, x_hat, inv_std, gamma):
     return dx, d_gamma, d_beta
 
 
-@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("train", [True])
 @pytest.mark.parametrize("c", [1, 8, 64])
 def test_batch_norm_matches_reference(train, c):
     rng = np.random.default_rng(c)
@@ -286,8 +286,7 @@ def test_batch_norm_matches_reference(train, c):
     run_mean, run_var = rng.normal(0.0, 0.3, c), rng.uniform(0.5, 2.0, c)
     y_ref, x_hat_ref, inv_std_ref, mean_ref, var_ref = reference_bn_forward(
         x, gamma, beta, run_mean, run_var, train)
-    y, (x_hat, inv_std) = net._bn_forward(x, gamma, beta, run_mean, run_var,
-                                          train, update_running=True)
+    y, (x_hat, inv_std) = net._bn_forward(x, gamma, beta, run_mean, run_var)
     assert np.array_equal(x, x_before)
     for got, expected in ((y, y_ref), (x_hat, x_hat_ref),
                           (inv_std, inv_std_ref), (run_mean, mean_ref),
@@ -335,9 +334,8 @@ def test_folded_eval_matches_unfolded_batch_norm():
     h = x[..., None]
     for i in range(len(p.conv_w)):
         z = net._conv_forward(h, p.conv_w[i], np.zeros(len(p.conv_w[i])))
-        y, _ = net._bn_forward(z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i],
-                               p.bn_var[i], train=False,
-                               update_running=False)
+        y, *_ = reference_bn_forward(z, p.bn_gamma[i], p.bn_beta[i],
+                                     p.bn_mean[i], p.bn_var[i], train=False)
         h = np.maximum(y, 0.0)
     expected = h[..., 0] @ p.proj_w.T + p.proj_b
     logits, cache = net.forward_batch(p, x, train=False)
