@@ -18,9 +18,10 @@ from . import baseline, model as net
 from .augment import AugmentConfig
 from .audio_io import (CANONICAL_SR, read_contour_csv, read_wav,
                        resample_linear, write_contour_csv, write_wav)
-from .decode import DecoderConfig
+from .decode import DecoderConfig, decode_contour
+from .dsp import spectrogram
 from .errors import (AlignmentError, ArgumentError, DivergenceError,
-                     PitchkitError)
+                     FormatError, PitchkitError)
 from .metrics import EvalReport, evaluate, evaluate_noisy
 from .pipeline import analyze, make_estimator
 from .synth import random_spec, synth_example
@@ -208,6 +209,8 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     if args.count < 1:
         raise ArgumentError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     # drawn before anything is written, so a bad range creates nothing
     specs = [random_spec(rng, duration_s=args.duration, f_low=args.f_low,
@@ -232,20 +235,31 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Time `analyze` stage by stage: resampling and spectrogram (stft), the
+    network (forward) and the decoder, the first two under the same OpenBLAS
+    hold as in `analyze`."""
     if args.repeats < 1:
         raise ArgumentError(f"--repeats must be >= 1, got {args.repeats}")
     dec = _decoder(args)
     params = net.load_params(args.weights)
     buf = read_wav(args.wav)
-    times = []
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        analyze(buf, params, dec_cfg=dec)
-        times.append(time.perf_counter() - start)
+    stages = np.empty((args.repeats, 3))  # stft, forward, decode seconds
+    for stage in stages:
+        t0 = time.perf_counter()
+        with net.one_blas_thread():
+            spec = spectrogram(resample_linear(buf, CANONICAL_SR))
+            t1 = time.perf_counter()
+            logits = net.forward(params, spec)
+        t2 = time.perf_counter()
+        decode_contour(logits, dec)
+        stage[:] = t1 - t0, t2 - t1, time.perf_counter() - t2
+    times = stages.sum(axis=1)
     mean_s, min_s = float(np.mean(times)), float(np.min(times))
     rtf = buf.duration_seconds / mean_s
+    stft_ms, forward_ms, decode_ms = 1e3 * stages.mean(axis=0)
     print(f"repeats={args.repeats} mean_s={mean_s:.4f} min_s={min_s:.4f} "
-          f"rtf={rtf:.2f}")
+          f"rtf={rtf:.2f} stft_ms={stft_ms:.2f} forward_ms={forward_ms:.2f} "
+          f"decode_ms={decode_ms:.2f}")
     return 0
 
 
@@ -325,6 +339,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
+        return 2
+    except FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except PitchkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

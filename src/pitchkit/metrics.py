@@ -184,8 +184,10 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
     non-empty arrays; Gaussian noise is used when the list is empty. A file
     is skipped when it is silent or when its metrics are undefined (e.g. no
     frame predicted voiced); UndefinedMetric is raised only when every file
-    was skipped.
+    was skipped. A negative seed raises ArgumentError.
     """
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if noise_signals and any(len(src) == 0 for src in noise_signals):
         raise ArgumentError("a noise signal has no samples")
     rng = np.random.default_rng(seed)

@@ -31,15 +31,34 @@ scales it in place; its backward takes the two channel sums it needs (which
 are also the beta and gamma gradients) and forms dx in one new array.
 
 Eval mode folds each batch norm into its conv kernel and a bias once per
-call, so a layer is conv -> ReLU. `forward` runs a long spectrogram in blocks
-of CHUNK frames, each widened by HALO frames of context on both sides; HALO
-is the receptive-field half-width, so the kept frames are exactly those of
-one whole-sequence call while the working set stays bounded by the block size.
+call, so a layer is conv -> ReLU. `forward` cuts a spectrogram into
+near-equal blocks of at most BLOCK = CHUNK // 2 frames, at least two when it
+has two frames, each widened by HALO frames of context on both sides; HALO is
+the receptive-field half-width, so the kept frames are exactly those of one
+whole-sequence call, and the working set stays bounded by the CHUNK frames
+in flight. The calling thread and one worker thread take blocks from a
+shared queue: numpy releases the GIL inside BLAS and its ufuncs, so two
+blocks run side by side on two CPUs. The worker is used only when the
+process may run on at least two CPUs.
+
+While the blocks run, OpenBLAS is held at one thread (`one_blas_thread`).
+Its own threads split each GEMM of this model, whose operands are skinny,
+for no gain, and they make the two block threads' GEMMs queue behind one
+another. The thread-count calls are looked up at run time in the OpenBLAS
+numpy loaded; when they cannot be found, nothing is held and the logits are
+the same.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import struct
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +73,11 @@ KERNEL = 5
 PAD = KERNEL // 2
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-# eval-mode block length in frames, and the context each block needs on
-# either side: every layer widens the receptive field by PAD frames
+# eval-mode frames in flight, run as two blocks of at most BLOCK frames, and
+# the context each block needs on either side: every layer widens the
+# receptive field by PAD frames
 CHUNK = 256
+BLOCK = CHUNK // 2
 HALO = (len(CHANNEL_PLAN) - 1) * PAD
 # grid rows per block of the per-tap dw GEMMs: a block of gradient and input
 # rows (about 1.5 MB at 96 channels) stays in cache across the 25 taps,
@@ -342,20 +363,113 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
 
 def forward(p: ModelParams, values: np.ndarray) -> np.ndarray:
     """Eval-mode logits (T, 200) of one (T, 132) spectrogram, run in blocks
-    of CHUNK frames on layers folded once; bit for bit those of one
-    whole-sequence eval `forward_batch`."""
+    of at most BLOCK frames on two threads, on layers folded once; bit for
+    bit those of one whole-sequence eval `forward_batch`."""
     values = np.asarray(values, dtype=p.dtype)
     if values.ndim != 2 or values.shape[1] != N_BANDS:
         raise ShapeError(f"expected (T, {N_BANDS}), got {values.shape}")
     layers = _fold(p)
     t = len(values)
     logits = np.empty((t, N_BINS), dtype=p.dtype)
-    for lo in range(0, t, CHUNK):
-        hi = min(lo + CHUNK, t)
-        a, b = max(lo - HALO, 0), min(hi + HALO, t)
-        block, _ = _eval_logits(p, layers, values[None, a:b])
-        logits[lo:hi] = block[0, lo - a:hi - a]
+    # the partition depends only on t, never on how many threads run it
+    n = max(-(-t // BLOCK), min(t, 2))
+    edges = [t * k // n for k in range(n + 1)]
+    todo = deque(zip(edges[:-1], edges[1:]))
+
+    def run_blocks():
+        while True:
+            try:
+                lo, hi = todo.popleft()
+            except IndexError:
+                return
+            a, b = max(lo - HALO, 0), min(hi + HALO, t)
+            block, _ = _eval_logits(p, layers, values[None, a:b])
+            logits[lo:hi] = block[0, lo - a:hi - a]
+
+    with one_blas_thread():
+        pool = _worker() if n > 1 else None
+        helper = pool.submit(run_blocks) if pool else None
+        try:
+            run_blocks()
+        finally:
+            todo.clear()  # after an error, the worker stops at its block
+            # a helper that never started (the worker was busy with another
+            # call) is not waited for: this thread ran every block
+            if helper is not None and not helper.cancel():
+                helper.result()
     return logits
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+_pool = None
+_pool_lock = threading.Lock()
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = None  # (set, count) while held, when OpenBLAS was found
+
+
+def _worker():
+    """The single-thread executor of eval blocks, made on first use; None
+    when this process may run on only one CPU."""
+    global _pool
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="pitchkit-forward")
+        return _pool
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, found
+    through numpy's core extension, or None for another BLAS or naming."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                           ("openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread. Holds nest and may be taken on several
+    threads at once: the first to enter saves the thread count and the last
+    to leave restores it."""
+    global _blas_holders, _blas_saved
+    with _blas_lock:
+        if _blas_holders == 0:
+            api = _openblas_threads()
+            _blas_saved = None
+            if api:
+                get, put = api
+                _blas_saved = put, get()
+                put(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0 and _blas_saved:
+                put, count = _blas_saved
+                put(count)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,15 @@ from .dsp import spectrogram
 
 def analyze(buf: AudioBuffer, params: net.ModelParams,
             dec_cfg: DecoderConfig | None = None) -> PitchContour:
-    """Estimate the pitch contour of an audio buffer at any sample rate."""
+    """Estimate the pitch contour of an audio buffer at any sample rate.
+
+    OpenBLAS is held at one thread through the spectrogram and the network,
+    which runs on two threads of its own: a helper thread OpenBLAS left
+    spinning after the spectrogram's GEMMs would take the second CPU."""
     dec_cfg = dec_cfg or DecoderConfig()
     buf = resample_linear(buf, CANONICAL_SR)
-    logits = net.forward(params, spectrogram(buf))
+    with net.one_blas_thread():
+        logits = net.forward(params, spectrogram(buf))
     return decode_contour(logits, dec_cfg)
 
 

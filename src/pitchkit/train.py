@@ -96,13 +96,16 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
     dicts with keys epoch/loss/ce/cents. Raises ArgumentError for a batch
     size or epoch count below 1, a learning rate that is not a positive
     finite number, a loss weight lam that is not a non-negative finite
-    number, or an epoch that skips every example, so it would take no step;
-    raises AlignmentError when a truth contour's hop is not HOP_SECONDS.
+    number, a negative seed, or an epoch that skips every example, so it
+    would take no step; raises AlignmentError when a truth contour's hop is
+    not HOP_SECONDS.
     """
     if cfg.batch_size < 1:
         raise ArgumentError(f"batch size must be >= 1, got {cfg.batch_size}")
     if cfg.epochs < 1:
         raise ArgumentError(f"epochs must be >= 1, got {cfg.epochs}")
+    if cfg.seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {cfg.seed}")
     if not (math.isfinite(cfg.lr) and cfg.lr > 0):
         raise ArgumentError(f"learning rate must be positive and finite, "
                             f"got {cfg.lr}")

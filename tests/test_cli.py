@@ -61,6 +61,14 @@ def test_synth_bad_range_exits_1(workdir, capsys, flags):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_synth_negative_seed_exits_1(workdir, capsys):
+    out = workdir / "negative_seed"
+    assert main(["synth", str(out), "--count", "1", "--seed", "-1"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--seed must be >= 0" in err and "Traceback" not in err
+
+
 def test_synth_deterministic(workdir):
     a, b = workdir / "c_a", workdir / "c_b"
     main(["synth", str(a), "--count", "2", "--seed", "11"])
@@ -150,6 +158,15 @@ def test_train_bad_arguments_exit_1(workdir, tone_manifest, flags):
     rc = main(["train", str(tone_manifest), str(out)] + flags)
     assert rc == 1
     assert not out.exists()
+
+
+def test_train_negative_seed_exits_1(workdir, tone_manifest, capsys):
+    out = workdir / "never.bin"
+    rc = main(["train", str(tone_manifest), str(out), "--epochs", "1",
+               "--seed", "-3"])
+    assert rc == 1
+    assert not out.exists()
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lam", ["-5", "nan"])
@@ -275,7 +292,7 @@ def test_eval_late_start_contour_rejected(workdir, capsys):
         for i, f in enumerate(truth.f0_hz[30:])]
     late = workdir / "late.csv"
     late.write_text("\n".join(rows) + "\n")
-    assert main(["eval", str(late), str(workdir / "tone.csv")]) == 1
+    assert main(["eval", str(late), str(workdir / "tone.csv")]) == 2
     assert "not 0" in capsys.readouterr().err
 
 
@@ -320,6 +337,16 @@ def test_eval_noisy_wav_takes_seed(workdir, capsys):
     assert reports[0] == reports[1]
 
 
+def test_eval_noisy_negative_seed_exits_1(workdir, capsys):
+    out = workdir / "never_report.csv"
+    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
+               "--weights", str(workdir / "w.bin"), "--noisy", "--seed", "-1",
+               "--out-csv", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_eval_wav_prediction(workdir):
     # threshold 0 forces every frame voiced so untrained weights still score
     rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
@@ -355,6 +382,17 @@ def test_bench_reports_rtf(workdir, capsys):
     assert "rtf=" in out and "mean_s=" in out
 
 
+def test_bench_reports_stage_times(workdir, capsys):
+    rc = main(["bench", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+               "--repeats", "2"])
+    assert rc == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    stages = [float(fields[k]) for k in ("stft_ms", "forward_ms", "decode_ms")]
+    assert all(ms > 0 for ms in stages)
+    assert sum(stages) == pytest.approx(1e3 * float(fields["mean_s"]),
+                                        abs=0.1)
+
+
 def test_bench_zero_repeats(workdir, capsys):
     rc = main(["bench", str(workdir / "tone.wav"), str(workdir / "w.bin"),
                "--repeats", "0"])
@@ -382,6 +420,15 @@ def test_cli_offers_only_honoured_options(workdir):
         main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
               str(workdir / "x.csv"), "--n-fft", "2048"])
     assert exc.value.code == 2
+
+
+def test_invalid_input_file_exits_2(workdir, capsys):
+    bad = workdir / "bad.wav"
+    bad.write_bytes(b"not a wave file!")
+    assert len(bad.read_bytes()) == 16
+    assert main(["acf", str(bad), str(workdir / "o.csv")]) == 2
+    assert not (workdir / "o.csv").exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_acf_baseline_on_tone(workdir):

@@ -1,16 +1,20 @@
 import importlib.util
 import struct
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pitchkit import model as net
+from pitchkit.audio_io import AudioBuffer
 from pitchkit.errors import FormatError, ShapeError, StateError
 from pitchkit import grid
 from pitchkit.losses import loss_total, softmax_rows
+from pitchkit.pipeline import analyze
 
 
 
@@ -358,6 +362,98 @@ def test_eval_forward_memory_bounded():
     # with length beyond the logits it returns
     p = net.init_params(0)
     assert _forward_peak_bytes(p, 3747) <= 2 * _forward_peak_bytes(p, net.CHUNK)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", [2, net.BLOCK - 1, net.BLOCK, net.BLOCK + 1,
+                               net.CHUNK - 1, net.CHUNK, net.CHUNK + 1])
+def test_two_thread_forward_matches_whole_sequence(dtype, t):
+    p = random_bn_params(23, dtype)
+    x = np.random.default_rng(t).standard_normal((t, 132))
+    whole, _ = net.forward_batch(p, x[None], train=False)
+    assert np.array_equal(net.forward(p, x), whole[0])
+
+
+def blas_threads():
+    api = net._openblas_threads()
+    return api[0]() if api else None
+
+
+def test_concurrent_forward_and_analyze_match_serial():
+    # more user threads than CPUs, switching often, on inputs of different
+    # lengths: each must get its serial result, and the last hold to end
+    # must restore the OpenBLAS thread count
+    p = random_bn_params(29, np.float32)
+    rng = np.random.default_rng(8)
+    specs = [rng.standard_normal((t, 132)) for t in (300, 517, 2, 129)]
+    bufs = [AudioBuffer(0.1 * rng.standard_normal(n), 16000)
+            for n in (16000, 40000, 4000, 9000)]
+
+    def work(i):
+        contour = analyze(bufs[i], p)
+        return net.forward(p, specs[i]), contour.f0_hz, contour.confidence
+
+    serial = [work(i) for i in range(4)]
+    before = blas_threads()
+    start = threading.Barrier(4)
+
+    def user(i):
+        start.wait()
+        return [work(i) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as users:
+            futures = [users.submit(user, i) for i in range(4)]
+            runs = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(4):
+        for outputs in runs[i]:
+            for got, want in zip(outputs, serial[i]):
+                assert np.array_equal(got, want, equal_nan=True)
+    assert blas_threads() == before
+
+
+def test_forward_error_restores_blas_threads(monkeypatch):
+    api = net._openblas_threads()
+    if api is None:
+        pytest.skip("no OpenBLAS thread-count calls in this numpy")
+    p = net.init_params(0)
+    x = np.random.default_rng(9).standard_normal((600, 132))
+    eval_logits, held = net._eval_logits, []
+
+    def fail_second_block(*args):
+        held.append(api[0]())
+        if len(held) == 2:
+            raise RuntimeError("block failed")
+        return eval_logits(*args)
+
+    monkeypatch.setattr(net, "_eval_logits", fail_second_block)
+    saved = api[0]()
+    api[1](2)
+    try:
+        with pytest.raises(RuntimeError, match="block failed"):
+            net.forward(p, x)
+        assert api[0]() == 2
+    finally:
+        api[1](saved)
+    assert set(held) == {1}
+
+
+@pytest.mark.parametrize("fallback", ["no OpenBLAS calls", "one CPU"])
+def test_forward_fallbacks_give_same_logits(monkeypatch, fallback):
+    p = random_bn_params(31, np.float32)
+    x = np.random.default_rng(10).standard_normal((300, 132))
+    expected = net.forward(p, x)
+    if fallback == "one CPU":
+        monkeypatch.setattr(net.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert net._worker() is None
+    else:
+        monkeypatch.setattr(net, "_openblas_threads", lambda: None)
+    assert np.array_equal(net.forward(p, x), expected)
 
 
 def test_save_load_round_trip(tmp_path):
