@@ -41,12 +41,12 @@ def acf_contour(buf: AudioBuffer) -> PitchContour:
         rel = int(np.argmax(window))
         lag = lag_min + rel
         peak = float(window[rel])
-        # parabolic refinement around the integer-lag peak
-        if 0 < lag < len(ac) - 1:
-            a, b, c = ac[lag - 1], ac[lag], ac[lag + 1]
-            denom = a - 2 * b + c
-            if denom != 0:
-                lag = lag + 0.5 * (a - c) / denom
+        # parabolic refinement around the integer-lag peak; lag_min >= 2 and
+        # lag_max <= n - 2 keep lag - 1 and lag + 1 inside ac
+        a, b, c = ac[lag - 1], ac[lag], ac[lag + 1]
+        denom = a - 2 * b + c
+        if denom != 0:
+            lag = lag + 0.5 * (a - c) / denom
         f0[m] = sr / lag
         conf[m] = max(min(peak, 1.0), 0.0)
     voiced = conf >= 0.5

@@ -1,5 +1,8 @@
 """Command-line front-end: analyze, train, eval, synth, bench, acf.
 
+Each task has one way in: `eval` scores a contour CSV as it is, or with
+--noisy a WAV under noise; a clean WAV is scored by `analyze` then `eval`.
+
 stdout carries results, stderr carries diagnostics. Exit codes: 0 ok,
 1 generic failure, 2 bad input file, 3 training divergence, 4 contour
 alignment failure, 5 synthesis range error.
@@ -26,12 +29,6 @@ from .metrics import EvalReport, evaluate, evaluate_noisy
 from .pipeline import analyze, make_estimator
 from .synth import random_spec, synth_example
 from .train import TrainConfig, train_loop
-
-# `train --config` keys and how each value parses
-_CONFIG_KEYS = {"seed": int, "lr": float, "batch": int, "epochs": int,
-                "lambda": float, "gain_db_min": float, "gain_db_max": float,
-                "snr_db_min": float, "snr_db_max": float, "noise_dir": str}
-
 
 def _add_decoder(parser):
     # no defaults here: DecoderConfig holds them, and `eval` must tell a
@@ -92,40 +89,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _read_config_file(path):
-    """Parse `key=value` lines into typed values; blank and # lines skip."""
-    overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = (part.strip() for part in line.partition("="))
-        where = f"{path} line {lineno} ({raw!r})"
-        if not sep:
-            raise ArgumentError(f"{where}: expected key=value")
-        if key not in _CONFIG_KEYS:
-            raise ArgumentError(f"{where}: unknown key {key!r}; known keys: "
-                                f"{', '.join(_CONFIG_KEYS)}")
-        try:
-            overrides[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
-            raise ArgumentError(f"{where}: {key} needs a "
-                                f"{_CONFIG_KEYS[key].__name__} value") from None
-    return overrides
-
-
 def cmd_train(args) -> int:
-    over = _read_config_file(args.config) if args.config else {}
-    default = AugmentConfig()
     cfg = TrainConfig(
-        seed=over.get("seed", args.seed), epochs=over.get("epochs", args.epochs),
-        batch_size=over.get("batch", args.batch), lr=over.get("lr", args.lr),
-        lam=over.get("lambda", args.lam), augment=AugmentConfig(
-            gain_db_range=(over.get("gain_db_min", default.gain_db_range[0]),
-                           over.get("gain_db_max", default.gain_db_range[1])),
-            snr_db_range=(over.get("snr_db_min", default.snr_db_range[0]),
-                          over.get("snr_db_max", default.snr_db_range[1])),
-            noise_signals=_load_noise(over.get("noise_dir", args.noise))))
+        seed=args.seed, epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+        lam=args.lam,
+        augment=AugmentConfig(noise_signals=_load_noise(args.noise)))
 
     corpus = []
     for line in Path(args.manifest).read_text().splitlines():
@@ -162,46 +130,40 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dec = _decoder(args)
-    pred_path = Path(args.pred)
-    is_wav = pred_path.suffix.lower() == ".wav"
-    if (args.snr is not None or args.noise or args.seed is not None) \
-            and not args.noisy:
-        raise ArgumentError("--snr, --noise and --seed need --noisy")
-    if args.noisy and not is_wav:
-        raise ArgumentError("--noisy mixes noise into audio: the prediction "
-                            "must be a WAV")
-    if not is_wav:
-        given = [flag for flag, value in (("--weights", args.weights),
-                                          ("--window", args.window),
-                                          ("--threshold", args.threshold))
-                 if value is not None]
-        if given:
-            raise ArgumentError(f"{', '.join(given)} apply only to a WAV "
-                                f"prediction; a contour CSV is scored as it is")
-    truth = read_contour_csv(args.truth)
-    if is_wav:
+    is_wav = Path(args.pred).suffix.lower() == ".wav"
+    if args.noisy:
+        if not is_wav:
+            raise ArgumentError("--noisy mixes noise into audio: the "
+                                "prediction must be a WAV")
         if args.weights is None:
-            raise ArgumentError("evaluating a WAV needs --weights")
-        params = net.load_params(args.weights)
-        buf = read_wav(pred_path)
-        if args.noisy:
-            estimator = make_estimator(params, dec_cfg=dec)
-            noise = _load_noise(args.noise)
-            snr_db = 10.0 if args.snr is None else args.snr
-            seed = 0 if args.seed is None else args.seed
-            report = evaluate_noisy(estimator, [(buf, truth)], snr_db=snr_db,
-                                    seed=seed, noise_signals=noise)
-            _print_report(report, args.out_csv)
-            return 0
-        pred = analyze(buf, params, dec_cfg=dec)
+            raise ArgumentError("--noisy needs --weights")
+    elif is_wav:
+        raise ArgumentError("eval scores a WAV only with --noisy; for a clean "
+                            "score run `pitchkit analyze` first and evaluate "
+                            "its contour CSV")
     else:
-        pred = read_contour_csv(pred_path)
-    try:
-        report = evaluate(pred, truth)
-    except AlignmentError as exc:
-        print(f"alignment failure: {exc}", file=sys.stderr)
-        return 4
+        given = [flag for flag, value in (
+            ("--weights", args.weights), ("--window", args.window),
+            ("--threshold", args.threshold), ("--snr", args.snr),
+            ("--noise", args.noise), ("--seed", args.seed))
+            if value is not None]
+        if given:
+            raise ArgumentError(f"{', '.join(given)} need --noisy")
+    truth = read_contour_csv(args.truth)
+    if args.noisy:
+        estimator = make_estimator(net.load_params(args.weights),
+                                   dec_cfg=_decoder(args))
+        report = evaluate_noisy(
+            estimator, [(read_wav(args.pred), truth)],
+            snr_db=10.0 if args.snr is None else args.snr,
+            seed=0 if args.seed is None else args.seed,
+            noise_signals=_load_noise(args.noise))
+    else:
+        try:
+            report = evaluate(read_contour_csv(args.pred), truth)
+        except AlignmentError as exc:
+            print(f"alignment failure: {exc}", file=sys.stderr)
+            return 4
     _print_report(report, args.out_csv)
     return 0
 
@@ -286,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a wav,csv manifest")
     p.add_argument("manifest")
     p.add_argument("out", help="output weights file")
-    p.add_argument("--config", help="key=value config file (overrides flags)")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -297,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a prediction against ground truth")
-    p.add_argument("pred", help="contour CSV or WAV (WAV needs --weights)")
+    p.add_argument("pred", help="contour CSV, or with --noisy a WAV")
     p.add_argument("truth")
-    p.add_argument("--weights")
+    p.add_argument("--weights", help="model weights (needs --noisy)")
     p.add_argument("--noisy", action="store_true",
                    help="score the WAV with noise mixed in (default 10 dB SNR)")
     p.add_argument("--noise", help="directory of noise WAVs (needs --noisy)")

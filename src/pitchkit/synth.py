@@ -91,10 +91,14 @@ def synth_example(spec: SynthSpec):
 def random_spec(rng: np.random.Generator, duration_s: float = 1.0,
                 f_low: float = 100.0, f_high: float = 1000.0) -> SynthSpec:
     """Random constant/glide/vibrato example inside [f_low, f_high]; raises
-    ArgumentError unless 0 < f_low <= f_high and duration_s > 0, all finite."""
+    ArgumentError unless 0 < f_low <= f_high and duration_s > 0, all finite,
+    and the duration's samples fit in one float64 array."""
     if not (0.0 < f_low <= f_high < np.inf and 0.0 < duration_s < np.inf):
         raise ArgumentError(f"need finite 0 < f_low <= f_high and duration "
                             f"> 0, got {f_low}, {f_high} and {duration_s}")
+    if duration_s * CANONICAL_SR > np.iinfo(np.intp).max // 8:
+        raise ArgumentError(f"a {duration_s} s clip has more samples than "
+                            f"one float64 array can hold")
     kind = rng.choice(["constant", "glide", "vibrato"])
     # sample pitch log-uniformly
     logf = rng.uniform(np.log(f_low), np.log(f_high))

@@ -1,4 +1,6 @@
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +54,9 @@ def test_synth_count_below_one_exits_1(workdir, capsys, count):
 
 @pytest.mark.parametrize("flags", [["--f-low", "0"], ["--f-low", "nan"],
                                    ["--duration", "nan"],
-                                   ["--f-low", "500", "--f-high", "100"]])
+                                   ["--f-low", "500", "--f-high", "100"],
+                                   # more samples than an array can hold
+                                   ["--duration", "1e300"]])
 def test_synth_bad_range_exits_1(workdir, capsys, flags):
     out = workdir / "bad_range"
     assert main(["synth", str(out), "--count", "2"] + flags) == 1
@@ -115,40 +119,11 @@ def test_train_end_to_end(workdir):
     assert net.count_params(params) == net.count_params(net.init_params(0))
 
 
-def test_train_config_file_overrides(workdir):
-    corpus = workdir / "train_corpus"
-    cfg = workdir / "train.cfg"
-    cfg.write_text("epochs=1\nlr=0.002\nbatch=2\nlambda=0.5\n")
-    out = workdir / "trained2.bin"
-    rc = main(["train", str(corpus / "manifest.txt"), str(out),
-               "--epochs", "5", "--config", str(cfg)])
-    assert rc == 0
-    # config epochs=1 wins over --epochs 5
-    loss_csv = out.with_suffix(".loss.csv").read_text().splitlines()
-    assert len(loss_csv) == 2
-
-
 @pytest.fixture
 def tone_manifest(workdir):
     path = workdir / "tone_manifest.txt"
     path.write_text(f"{workdir / 'tone.wav'},{workdir / 'tone.csv'}\n")
     return path
-
-
-@pytest.mark.parametrize("text,message", [
-    ("epochs\n", "line 1 ('epochs'): expected key=value"),
-    ("epochs=1\nlr=abc\n", "line 2 ('lr=abc'): lr needs a float"),
-    ("batch_size=1\n", "line 1 ('batch_size=1'): unknown key 'batch_size'"),
-])
-def test_train_config_file_strict(workdir, tone_manifest, capsys, text,
-                                  message):
-    cfg = workdir / "bad.cfg"
-    cfg.write_text(text)
-    out = workdir / "never.bin"
-    rc = main(["train", str(tone_manifest), str(out), "--config", str(cfg)])
-    assert rc == 1
-    assert not out.exists()
-    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--batch", "0"], ["--epochs", "0"],
@@ -179,16 +154,11 @@ def test_train_bad_loss_weight_exits_1(workdir, tone_manifest, capsys, lam):
     assert "lam" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["gain_db_min=nan", "snr_db_max=inf"])
-def test_train_non_finite_augment_range_exits_1(workdir, tone_manifest,
-                                                capsys, line):
-    cfg = workdir / "range.cfg"
-    cfg.write_text(line + "\n")
-    out = workdir / "never.bin"
-    rc = main(["train", str(tone_manifest), str(out), "--config", str(cfg)])
-    assert rc == 1
-    assert not out.exists()
-    assert "is not finite" in capsys.readouterr().err
+def test_train_config_flag_is_usage_error():
+    # flags are the only way to set training options
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "manifest.txt", "never.bin", "--config", "train.cfg"])
+    assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +267,7 @@ def test_eval_late_start_contour_rejected(workdir, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--noisy"], ["--snr", "5"],
-                                   ["--noise", "noise_dir"]])
+                                   ["--noise", "noise_dir"], ["--seed", "9"]])
 def test_eval_noise_flags_rejected_for_csv(workdir, capsys, flags):
     rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
               + flags)
@@ -312,17 +282,7 @@ def test_eval_decoder_flags_rejected_for_csv(workdir, capsys, flags):
     rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
               + flags)
     assert rc == 1
-    assert f"{flags[0]} apply only to a WAV" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("pred", ["tone.csv", "tone.wav"])
-def test_eval_seed_without_noisy_rejected(workdir, capsys, pred):
-    # the seed only draws the noise --noisy mixes in
-    weights = ["--weights", str(workdir / "w.bin")] if pred.endswith("wav") else []
-    rc = main(["eval", str(workdir / pred), str(workdir / "tone.csv"),
-               "--seed", "9"] + weights)
-    assert rc == 1
-    assert "--seed need --noisy" in capsys.readouterr().err
+    assert f"{flags[0]} need --noisy" in capsys.readouterr().err
 
 
 def test_eval_noisy_wav_takes_seed(workdir, capsys):
@@ -347,24 +307,25 @@ def test_eval_noisy_negative_seed_exits_1(workdir, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
-def test_eval_wav_prediction(workdir):
-    # threshold 0 forces every frame voiced so untrained weights still score
-    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
-               "--weights", str(workdir / "w.bin"), "--threshold", "0.0"])
-    assert rc == 0
+def test_eval_clean_wav_points_to_analyze(workdir, capsys):
+    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv")])
+    assert rc == 1
+    assert "pitchkit analyze" in capsys.readouterr().err
 
 
 def test_eval_untrained_voicing_undefined(workdir):
     # default threshold with random weights: nothing voiced, scoring fails
-    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
-               "--weights", str(workdir / "w.bin")])
-    assert rc == 1
+    pred = workdir / "untrained.csv"
+    assert main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+                 str(pred)]) == 0
+    assert main(["eval", str(pred), str(workdir / "tone.csv")]) == 1
 
 
 def test_eval_wav_without_weights(workdir, capsys):
-    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv")])
-    assert rc != 0
-    assert "needs --weights" in capsys.readouterr().err
+    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
+               "--noisy"])
+    assert rc == 1
+    assert "--noisy needs --weights" in capsys.readouterr().err
 
 
 def test_analyze_bad_window_is_argument_error(workdir, capsys):
@@ -400,15 +361,19 @@ def test_bench_zero_repeats(workdir, capsys):
     assert "--repeats" in capsys.readouterr().err
 
 
-def test_cli_offers_only_honoured_options(workdir):
+def _parser_options():
+    """Each subcommand's flags, as build_parser() offers them."""
     subparsers = build_parser()._subparsers._group_actions[0].choices
-    options = {name: {s for a in p._actions for s in a.option_strings}
-               - {"-h", "--help"} for name, p in subparsers.items()}
+    return {name: {s for a in p._actions for s in a.option_strings}
+            - {"-h", "--help"} for name, p in subparsers.items()}
+
+
+def test_cli_offers_only_honoured_options(workdir):
     decoder = {"--window", "--threshold"}
-    assert options == {
+    assert _parser_options() == {
         "analyze": decoder,
-        "train": {"--config", "--epochs", "--batch", "--lr", "--lam",
-                  "--noise", "--loss-csv", "--seed"},
+        "train": {"--epochs", "--batch", "--lr", "--lam", "--noise",
+                  "--loss-csv", "--seed"},
         "eval": {"--weights", "--noisy", "--noise", "--snr", "--out-csv",
                  "--seed"} | decoder,
         "synth": {"--count", "--duration", "--f-low", "--f-high", "--seed"},
@@ -420,6 +385,14 @@ def test_cli_offers_only_honoured_options(workdir):
         main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
               str(workdir / "x.csv"), "--n-fft", "2048"])
     assert exc.value.code == 2
+
+
+def test_readme_cli_table_lists_parser_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)[^`]*` \| (.*) \|$", readme, re.M)
+    table = {name: set(re.findall(r"--[a-z][a-z-]*", flags))
+             for name, flags in rows}
+    assert table == _parser_options()
 
 
 def test_invalid_input_file_exits_2(workdir, capsys):
