@@ -11,7 +11,7 @@ from .dsp import spectrogram
 from .grid import cents_error
 from .metrics import EvalReport, evaluate, evaluate_noisy
 from .model import ModelParams, count_params, init_params, load_params, save_params
-from .pipeline import analyze, make_estimator
+from .pipeline import analyze
 from .synth import SynthSpec, synth_example
 from .train import TrainConfig, train_loop
 
@@ -23,5 +23,5 @@ __all__ = [
     "cents_error", "ModelParams", "init_params", "count_params",
     "save_params", "load_params", "DecoderConfig", "decode_contour",
     "EvalReport", "evaluate", "evaluate_noisy", "SynthSpec", "synth_example",
-    "TrainConfig", "train_loop", "analyze", "make_estimator",
+    "TrainConfig", "train_loop", "analyze",
 ]

@@ -100,6 +100,8 @@ def read_wav(path) -> AudioBuffer:
     if fmt is None or payload is None:
         raise FormatError(f"{path}: missing fmt or data chunk")
     audio_format, channels, sample_rate, _, _, bits = fmt
+    if sample_rate == 0:
+        raise FormatError(f"{path}: fmt chunk gives a sample rate of 0")
     if channels != 1:
         raise UnsupportedError(f"{path}: {channels} channels; only mono is supported")
     if audio_format == 1 and bits == 16:

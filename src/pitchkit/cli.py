@@ -3,9 +3,11 @@
 Each task has one way in: `eval` scores a contour CSV as it is, or with
 --noisy a WAV under noise; a clean WAV is scored by `analyze` then `eval`.
 
-stdout carries results, stderr carries diagnostics. Exit codes: 0 ok,
-1 generic failure, 2 bad input file, 3 training divergence, 4 contour
-alignment failure, 5 synthesis range error.
+stdout carries results, stderr carries diagnostics. The subcommands raise;
+`main` alone turns a failure into an exit code through EXIT_CODES: 0 ok,
+1 generic failure, 2 a file that is missing, invalid or cannot be read or
+written (argparse also exits 2 on a usage error), 3 training divergence,
+4 contour alignment failure, 5 synthesis range error.
 """
 from __future__ import annotations
 
@@ -24,22 +26,29 @@ from .audio_io import (CANONICAL_SR, read_contour_csv, read_wav,
 from .decode import DecoderConfig, decode_contour
 from .dsp import spectrogram
 from .errors import (AlignmentError, ArgumentError, DivergenceError,
-                     FormatError, PitchkitError)
+                     FormatError, PitchkitError, RangeError)
 from .metrics import EvalReport, evaluate, evaluate_noisy
-from .pipeline import analyze, make_estimator
+from .pipeline import analyze
 from .synth import random_spec, synth_example
 from .train import TrainConfig, train_loop
 
-def _add_decoder(parser):
-    # no defaults here: DecoderConfig holds them, and `eval` must tell a
-    # flag that was given from one that was not
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--threshold", type=float)
+# (failure, exit code, stderr prefix); the first match wins
+EXIT_CODES = (
+    (OSError, 2, "error"),
+    (FormatError, 2, "error"),
+    (DivergenceError, 3, "training diverged"),
+    (AlignmentError, 4, "alignment failure"),
+    (RangeError, 5, "synthesis range error"),
+    (PitchkitError, 1, "error"),
+)
 
 
 def _decoder(args) -> DecoderConfig:
-    given = {"half_width": args.window, "voicing_threshold": args.threshold}
-    return DecoderConfig(**{k: v for k, v in given.items() if v is not None})
+    # --threshold has no default of its own: DecoderConfig holds it, and
+    # `eval` must tell a flag that was given from one that was not
+    if args.threshold is None:
+        return DecoderConfig()
+    return DecoderConfig(voicing_threshold=args.threshold)
 
 
 def _print_report(report: EvalReport, out_csv=None):
@@ -75,33 +84,45 @@ def _load_noise(noise_dir):
     return signals
 
 
-def cmd_analyze(args) -> int:
-    dec = _decoder(args)
-    if not Path(args.weights).is_file():
-        print(f"weights file not found: {args.weights}", file=sys.stderr)
-        return 2
-    params = net.load_params(args.weights)
-    buf = read_wav(args.wav)
-    contour = analyze(buf, params, dec_cfg=dec)
-    write_contour_csv(contour, args.out)
+def _save_contour(contour, out):
+    write_contour_csv(contour, out)
     voiced_frac = float(contour.voiced.mean()) if len(contour) else 0.0
     print(f"frames={len(contour)} voiced_fraction={voiced_frac:.4f}")
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_analyze(args):
+    dec = _decoder(args)
+    params = net.load_params(args.weights)
+    _save_contour(analyze(read_wav(args.wav), params, dec_cfg=dec), args.out)
+
+
+def _read_manifest(path):
+    """(WAV path, CSV path) of each non-blank `WAV,CSV` line of a UTF-8
+    manifest; FormatError for a file that is not UTF-8 or a line without a
+    comma."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: manifest is not UTF-8") from None
+    pairs = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        wav_path, comma, csv_path = line.partition(",")
+        if not comma:
+            raise FormatError(f"{path}: line {number} is not WAV,CSV")
+        pairs.append((wav_path, csv_path))
+    return pairs
+
+
+def cmd_train(args):
     cfg = TrainConfig(
         seed=args.seed, epochs=args.epochs, batch_size=args.batch, lr=args.lr,
         lam=args.lam,
         augment=AugmentConfig(noise_signals=_load_noise(args.noise)))
-
-    corpus = []
-    for line in Path(args.manifest).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        wav_path, _, csv_path = line.partition(",")
-        corpus.append((read_wav(wav_path), read_contour_csv(csv_path)))
+    corpus = [(read_wav(wav_path), read_contour_csv(csv_path))
+              for wav_path, csv_path in _read_manifest(args.manifest)]
 
     loss_rows = []
 
@@ -110,14 +131,7 @@ def cmd_train(args) -> int:
         print(f"epoch={entry['epoch']} loss={entry['loss']:.6f} "
               f"ce={entry['ce']:.6f} cents={entry['cents']:.6f}")
 
-    try:
-        params, _ = train_loop(corpus, cfg, log_callback=log)
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
-    except AlignmentError as exc:
-        print(f"alignment failure: {exc}", file=sys.stderr)
-        return 4
+    params, _ = train_loop(corpus, cfg, log_callback=log)
     net.save_params(params, args.out)
     loss_csv = args.loss_csv or str(Path(args.out).with_suffix(".loss.csv"))
     with open(loss_csv, "w", newline="") as fh:
@@ -126,10 +140,9 @@ def cmd_train(args) -> int:
         for entry in loss_rows:
             writer.writerow([entry["epoch"], f"{entry['loss']:.6f}",
                              f"{entry['ce']:.6f}", f"{entry['cents']:.6f}"])
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     is_wav = Path(args.pred).suffix.lower() == ".wav"
     if args.noisy:
         if not is_wav:
@@ -143,32 +156,27 @@ def cmd_eval(args) -> int:
                             "its contour CSV")
     else:
         given = [flag for flag, value in (
-            ("--weights", args.weights), ("--window", args.window),
-            ("--threshold", args.threshold), ("--snr", args.snr),
-            ("--noise", args.noise), ("--seed", args.seed))
+            ("--weights", args.weights), ("--threshold", args.threshold),
+            ("--snr", args.snr), ("--noise", args.noise),
+            ("--seed", args.seed))
             if value is not None]
         if given:
             raise ArgumentError(f"{', '.join(given)} need --noisy")
     truth = read_contour_csv(args.truth)
     if args.noisy:
-        estimator = make_estimator(net.load_params(args.weights),
-                                   dec_cfg=_decoder(args))
+        params, dec = net.load_params(args.weights), _decoder(args)
         report = evaluate_noisy(
-            estimator, [(read_wav(args.pred), truth)],
+            lambda buf: analyze(buf, params, dec),
+            [(read_wav(args.pred), truth)],
             snr_db=10.0 if args.snr is None else args.snr,
             seed=0 if args.seed is None else args.seed,
             noise_signals=_load_noise(args.noise))
     else:
-        try:
-            report = evaluate(read_contour_csv(args.pred), truth)
-        except AlignmentError as exc:
-            print(f"alignment failure: {exc}", file=sys.stderr)
-            return 4
+        report = evaluate(read_contour_csv(args.pred), truth)
     _print_report(report, args.out_csv)
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     if args.count < 1:
         raise ArgumentError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
@@ -181,28 +189,23 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
     for i, spec in enumerate(specs):
-        try:
-            buf, truth = synth_example(spec)
-        except ArgumentError as exc:
-            print(f"synthesis range error: {exc}", file=sys.stderr)
-            return 5
+        buf, truth = synth_example(spec)
         wav_path = out_dir / f"ex{i:04d}.wav"
         csv_path = out_dir / f"ex{i:04d}.csv"
         write_wav(buf, wav_path, dtype="float32")
         write_contour_csv(truth, csv_path)
         manifest_lines.append(f"{wav_path},{csv_path}")
-    (out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
+    (out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n",
+                                          encoding="utf-8")
     print(f"wrote {args.count} examples to {out_dir}")
-    return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
     """Time `analyze` stage by stage: resampling and spectrogram (stft), the
     network (forward) and the decoder, the first two under the same OpenBLAS
     hold as in `analyze`."""
     if args.repeats < 1:
         raise ArgumentError(f"--repeats must be >= 1, got {args.repeats}")
-    dec = _decoder(args)
     params = net.load_params(args.weights)
     buf = read_wav(args.wav)
     stages = np.empty((args.repeats, 3))  # stft, forward, decode seconds
@@ -213,7 +216,7 @@ def cmd_bench(args) -> int:
             t1 = time.perf_counter()
             logits = net.forward(params, spec)
         t2 = time.perf_counter()
-        decode_contour(logits, dec)
+        decode_contour(logits, DecoderConfig())
         stage[:] = t1 - t0, t2 - t1, time.perf_counter() - t2
     times = stages.sum(axis=1)
     mean_s, min_s = float(np.mean(times)), float(np.min(times))
@@ -222,16 +225,10 @@ def cmd_bench(args) -> int:
     print(f"repeats={args.repeats} mean_s={mean_s:.4f} min_s={min_s:.4f} "
           f"rtf={rtf:.2f} stft_ms={stft_ms:.2f} forward_ms={forward_ms:.2f} "
           f"decode_ms={decode_ms:.2f}")
-    return 0
 
 
-def cmd_acf(args) -> int:
-    buf = read_wav(args.wav)
-    contour = baseline.acf_contour(buf)
-    write_contour_csv(contour, args.out)
-    voiced_frac = float(contour.voiced.mean()) if len(contour) else 0.0
-    print(f"frames={len(contour)} voiced_fraction={voiced_frac:.4f}")
-    return 0
+def cmd_acf(args):
+    _save_contour(baseline.acf_contour(read_wav(args.wav)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("weights")
     p.add_argument("out")
-    _add_decoder(p)
+    p.add_argument("--threshold", type=float, help="voicing threshold")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train on a wav,csv manifest")
@@ -267,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, help="SNR in dB (needs --noisy)")
     p.add_argument("--out-csv")
     p.add_argument("--seed", type=int, help="noise seed (needs --noisy)")
-    _add_decoder(p)
+    p.add_argument("--threshold", type=float,
+                   help="voicing threshold (needs --noisy)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -283,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("weights")
     p.add_argument("--repeats", type=int, default=10)
-    _add_decoder(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("acf", help="autocorrelation baseline estimator")
@@ -297,16 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PitchkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args.func(args)
+    except tuple(kind for kind, _, _ in EXIT_CODES) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in EXIT_CODES
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,15 +13,14 @@ from .errors import ArgumentError
 from .grid import CENTERS, N_BINS
 from .losses import softmax_rows
 
+HALF_WIDTH = 9  # bins either side of the argmax in the decoding window
+
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    half_width: int = 9
     voicing_threshold: float = 0.90
 
     def __post_init__(self):
-        if self.half_width < 1:
-            raise ArgumentError("half_width must be >= 1")
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ArgumentError("voicing_threshold must be in [0, 1]")
 
@@ -30,7 +29,7 @@ def decode_probs(probs: np.ndarray, cfg: DecoderConfig):
     """Vectorized per-frame decode of a (T, B) probability matrix.
 
     Returns (f_hat, confidence, voiced). The window always spans exactly
-    2*half_width + 1 bins: near the grid edges it is shifted inward rather
+    2*HALF_WIDTH + 1 bins: near the grid edges it is shifted inward rather
     than truncated, so confidence stays comparable across all frames.
     Probabilities are renormalized inside the window for the frequency
     estimate, while confidence is the raw mass inside the window. Argmax
@@ -42,8 +41,8 @@ def decode_probs(probs: np.ndarray, cfg: DecoderConfig):
         z = np.zeros(0)
         return z, z, np.zeros(0, dtype=bool)
     best = probs.argmax(axis=1)  # ties -> lowest index
-    width = 2 * cfg.half_width + 1
-    lo = np.clip(best - cfg.half_width, 0, max(b - width, 0))
+    width = 2 * HALF_WIDTH + 1
+    lo = np.clip(best - HALF_WIDTH, 0, max(b - width, 0))
     hi = np.minimum(lo + width - 1, b - 1)
     cols = np.arange(b)[None, :]
     in_window = (cols >= lo[:, None]) & (cols <= hi[:, None])

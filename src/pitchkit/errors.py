@@ -17,6 +17,10 @@ class ArgumentError(PitchkitError):
     """Invalid argument value."""
 
 
+class RangeError(ArgumentError):
+    """A synthesis spec whose clip or pitch trajectory cannot be rendered."""
+
+
 class InputTooShort(PitchkitError):
     """Signal shorter than one analysis window."""
 

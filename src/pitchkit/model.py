@@ -505,7 +505,7 @@ def load_params(path, dtype=np.float32) -> ModelParams:
     mean batch norm subtracts next: fl(m - b) = -fl(b - m), so the folded
     eval layers are bit for bit those of conv + bias."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())  # slices share the buffer: no copies
     pos = 0
 
     def take(n):
@@ -525,7 +525,7 @@ def load_params(path, dtype=np.float32) -> ModelParams:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name is not UTF-8") from None
         (rank,) = struct.unpack("<B", take(1))

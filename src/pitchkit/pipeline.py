@@ -20,10 +20,3 @@ def analyze(buf: AudioBuffer, params: net.ModelParams,
         logits = net.forward(params, spectrogram(buf))
     return decode_contour(logits, dec_cfg)
 
-
-def make_estimator(params: net.ModelParams, dec_cfg=None):
-    """Bind the weights and decoder into an AudioBuffer -> PitchContour
-    callable."""
-    def run(buf: AudioBuffer) -> PitchContour:
-        return analyze(buf, params, dec_cfg)
-    return run

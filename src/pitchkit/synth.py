@@ -11,7 +11,7 @@ import numpy as np
 
 from .audio_io import CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer, PitchContour
 from .dsp import WINDOW
-from .errors import ArgumentError
+from .errors import ArgumentError, RangeError
 from .grid import F_MAX_HZ, F_MIN_HZ
 
 
@@ -50,21 +50,22 @@ def f0_trajectory(spec: SynthSpec, t: np.ndarray) -> np.ndarray:
 def synth_example(spec: SynthSpec):
     """Render the signal at CANONICAL_SR and its exact hop-grid contour.
 
-    Returns (AudioBuffer, PitchContour); raises ArgumentError for a clip
-    shorter than one analysis window. Contour frame m carries the
-    instantaneous F0 at the center of analysis frame m (samples
-    [m*HOP, m*HOP + WINDOW)), timestamped at m*HOP_SECONDS.
+    Returns (AudioBuffer, PitchContour); raises RangeError for a clip
+    shorter than one analysis window or a trajectory outside the pitch
+    range. Contour frame m carries the instantaneous F0 at the center of
+    analysis frame m (samples [m*HOP, m*HOP + WINDOW)), timestamped at
+    m*HOP_SECONDS.
     """
     sr = CANONICAL_SR
     n = int(round(spec.duration_s * sr))
     if n < WINDOW:
         # the truth contour would have no frame
-        raise ArgumentError(f"{n} samples is shorter than one "
-                            f"{WINDOW}-sample analysis window")
+        raise RangeError(f"{n} samples is shorter than one "
+                         f"{WINDOW}-sample analysis window")
     t = np.arange(n) / sr
     f0 = f0_trajectory(spec, t)
     if np.any(f0 < F_MIN_HZ) or np.any(f0 > F_MAX_HZ):
-        raise ArgumentError("trajectory leaves the supported pitch range")
+        raise RangeError("trajectory leaves the supported pitch range")
     if spec.n_harmonics < 1:
         raise ArgumentError("need at least one harmonic")
 

@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from pitchkit import dsp, grid, model as net
+from pitchkit import decode, dsp, grid, model as net
 from pitchkit.audio_io import HOP, AudioBuffer
 from pitchkit.decode import DecoderConfig, decode_probs
 from pitchkit.dsp import hann_window
 from pitchkit.losses import loss_total, softmax_rows
 from pitchkit.metrics import (average_reports, evaluate, evaluate_noisy,
                               harmonic_mean, rca, rpa)
-from pitchkit.pipeline import analyze, make_estimator
+from pitchkit.pipeline import analyze
 from pitchkit.synth import random_spec, synth_example
 from pitchkit.train import TrainConfig, train_loop
 
@@ -165,7 +165,7 @@ def test_criterion_05_decoder_properties():
     for row in probs:
         (f,), (c,), _ = decode_probs(row[None], DEC)
         best = int(row.argmax())
-        lo_bin = min(max(best - DEC.half_width, 0), 200 - 19)
+        lo_bin = min(max(best - decode.HALF_WIDTH, 0), 200 - 19)
         assert grid.CENTERS[lo_bin] <= f <= grid.CENTERS[lo_bin + 18]
         assert 0.0 <= c <= 1.0
 
@@ -252,8 +252,8 @@ def test_criterion_07_desk_scale_training(trained_model):
 
 def test_criterion_08_noise_robustness(trained_model):
     params, eval_corpus, clean, _ = trained_model
-    estimator = make_estimator(params, DEC)
-    noisy = evaluate_noisy(estimator, eval_corpus, snr_db=10.0, seed=7)
+    noisy = evaluate_noisy(lambda buf: analyze(buf, params, DEC), eval_corpus,
+                           snr_db=10.0, seed=7)
     drop = clean.hm - noisy.hm
     print(f"clean hm={clean.hm:.4f} noisy hm={noisy.hm:.4f} "
           f"drop={100 * drop:.2f} points")

@@ -68,6 +68,15 @@ def test_data_chunk_not_whole_samples(tmp_path, fmt_code, bits, n_bytes):
         read_wav(path)
 
 
+def test_zero_sample_rate_is_format_error(tmp_path):
+    data = bytearray(wav_bytes(1, 16, b"\x00\x00"))
+    data[24:28] = bytes(4)  # the fmt chunk's sample rate
+    path = tmp_path / "rate0.wav"
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="sample rate of 0"):
+        read_wav(path)
+
+
 def test_malformed_header(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"not a wav file at all")

@@ -3,7 +3,7 @@ import pytest
 
 from pitchkit.augment import AugmentConfig, augment, mix_at_snr, noise_gamma
 from pitchkit import dsp
-from pitchkit.errors import ArgumentError, SkipExample
+from pitchkit.errors import ArgumentError, RangeError, SkipExample
 from pitchkit.synth import SynthSpec, f0_trajectory, random_spec, synth_example
 
 
@@ -110,13 +110,13 @@ def test_vibrato_extremes():
 
 
 def test_out_of_range_trajectory_rejected():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(RangeError):
         synth_example(SynthSpec(kind="constant", f0_hz=30.0))
 
 
 def test_clip_shorter_than_one_window_rejected():
     # 1023 samples would give a truth contour of no frames; 1024 give one
-    with pytest.raises(ArgumentError, match="shorter than one"):
+    with pytest.raises(RangeError, match="shorter than one"):
         synth_example(SynthSpec(duration_s=1023 / 16000))
     _, truth = synth_example(SynthSpec(duration_s=1024 / 16000))
     assert len(truth) == 1

@@ -8,7 +8,7 @@ import pytest
 from pitchkit import model as net
 from pitchkit.audio_io import (AudioBuffer, read_contour_csv, read_wav,
                                write_contour_csv, write_wav)
-from pitchkit.cli import build_parser, main
+from pitchkit.cli import EXIT_CODES, build_parser, main
 from pitchkit.synth import SynthSpec, random_spec, synth_example
 
 
@@ -103,6 +103,18 @@ def test_analyze_missing_wav(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["acf", "analyze", "train"])
+def test_directory_as_input_file_exits_2(workdir, capsys, command):
+    # acf's WAV, analyze's WEIGHTS and train's MANIFEST
+    args = {"acf": ["acf", str(workdir), str(workdir / "x.csv")],
+            "analyze": ["analyze", str(workdir / "tone.wav"), str(workdir),
+                        str(workdir / "x.csv")],
+            "train": ["train", str(workdir), str(workdir / "never.bin")]}
+    assert main(args[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_train_end_to_end(workdir):
     corpus = workdir / "train_corpus"
     main(["synth", str(corpus), "--count", "4", "--seed", "3"])
@@ -152,6 +164,24 @@ def test_train_bad_loss_weight_exits_1(workdir, tone_manifest, capsys, lam):
     assert rc == 1
     assert not out.exists()
     assert "lam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe not utf-8\n", "not UTF-8"),
+    ("\n{wav},{csv}\n{wav}\n", "line 3 is not WAV,CSV")],
+    ids=["not-utf8", "no-comma"])
+def test_unreadable_manifest_exits_2(workdir, capsys, content, message):
+    path = workdir / "bad_manifest.txt"
+    if isinstance(content, str):
+        content = content.format(wav=workdir / "tone.wav",
+                                 csv=workdir / "tone.csv").encode()
+    path.write_bytes(content)
+    out = workdir / "never.bin"
+    assert main(["train", str(path), str(out), "--epochs", "1"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_train_config_flag_is_usage_error():
@@ -276,7 +306,7 @@ def test_eval_noise_flags_rejected_for_csv(workdir, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [["--weights", "nothing.bin"],
-                                   ["--window", "3"], ["--threshold", "0.5"]])
+                                   ["--threshold", "0.5"]])
 def test_eval_decoder_flags_rejected_for_csv(workdir, capsys, flags):
     # a contour CSV is scored as it is: no weights, no decoding
     rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
@@ -295,6 +325,18 @@ def test_eval_noisy_wav_takes_seed(workdir, capsys):
         reports.append(capsys.readouterr().out)
     # no --seed is seed 0
     assert reports[0] == reports[1]
+
+
+def test_eval_noisy_foreign_hop_exits_4(workdir, capsys):
+    # a truth contour on a 10 ms hop cannot be paired with the 16 ms frames
+    truth = workdir / "hop10.csv"
+    rows = "".join(f"{i * 0.01:.6f},220.000000,1.000000,1\n" for i in range(100))
+    truth.write_text("time_sec,f0_hz,confidence,voiced\n" + rows)
+    rc = main(["eval", str(workdir / "tone.wav"), str(truth), "--noisy",
+               "--weights", str(workdir / "w.bin"), "--threshold", "0.0"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("alignment failure: ") and "Traceback" not in err
 
 
 def test_eval_noisy_negative_seed_exits_1(workdir, capsys):
@@ -326,13 +368,6 @@ def test_eval_wav_without_weights(workdir, capsys):
                "--noisy"])
     assert rc == 1
     assert "--noisy needs --weights" in capsys.readouterr().err
-
-
-def test_analyze_bad_window_is_argument_error(workdir, capsys):
-    rc = main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
-               str(workdir / "x.csv"), "--window", "0"])
-    assert rc == 1
-    assert "half_width" in capsys.readouterr().err
 
 
 def test_bench_reports_rtf(workdir, capsys):
@@ -369,22 +404,23 @@ def _parser_options():
 
 
 def test_cli_offers_only_honoured_options(workdir):
-    decoder = {"--window", "--threshold"}
     assert _parser_options() == {
-        "analyze": decoder,
+        "analyze": {"--threshold"},
         "train": {"--epochs", "--batch", "--lr", "--lam", "--noise",
                   "--loss-csv", "--seed"},
         "eval": {"--weights", "--noisy", "--noise", "--snr", "--out-csv",
-                 "--seed"} | decoder,
+                 "--seed", "--threshold"},
         "synth": {"--count", "--duration", "--f-low", "--f-high", "--seed"},
-        "bench": {"--repeats"} | decoder,
+        "bench": {"--repeats"},
         "acf": set(),
     }
-    # the front-end is fixed: a flag to change it is a usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
-              str(workdir / "x.csv"), "--n-fft", "2048"])
-    assert exc.value.code == 2
+    # the front-end and the decoder's window (decode.HALF_WIDTH) are fixed:
+    # a flag to change them is a usage error
+    for flag in (["--n-fft", "2048"], ["--window", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+                  str(workdir / "x.csv")] + flag)
+        assert exc.value.code == 2
 
 
 def test_readme_cli_table_lists_parser_flags():
@@ -393,6 +429,14 @@ def test_readme_cli_table_lists_parser_flags():
     table = {name: set(re.findall(r"--[a-z][a-z-]*", flags))
              for name, flags in rows}
     assert table == _parser_options()
+
+
+def test_readme_exit_codes_match_main():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    sentence = re.search(r"^Exit codes: (.*?)\.\s", readme, re.M | re.S)
+    items = " ".join(sentence.group(1).split())
+    documented = {int(code) for code in re.findall(r"(?:^|, )(\d) ", items)}
+    assert documented == {0} | {code for _, code, _ in EXIT_CODES}
 
 
 def test_invalid_input_file_exits_2(workdir, capsys):

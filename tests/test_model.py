@@ -523,6 +523,14 @@ def test_load_folds_stored_conv_bias(tmp_path, dtype, rtol):
                                atol=rtol * np.abs(expected).max())
 
 
+def test_loaded_arrays_are_writable(tmp_path):
+    # Adam updates the loaded arrays in place
+    path = tmp_path / "w.bin"
+    path.write_bytes(v1_bytes(v1_tensors(23)))
+    for arr in net.load_params(path).all_tensors().values():
+        assert arr.flags.writeable and arr.flags.owndata
+
+
 def test_save_writes_zero_conv_bias_and_round_trips(tmp_path):
     tensors = v1_tensors(23)
     (tmp_path / "v1.bin").write_bytes(v1_bytes(tensors))

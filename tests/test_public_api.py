@@ -10,7 +10,6 @@ def test_public_api_is_pinned():
         "count_params", "save_params", "load_params", "DecoderConfig",
         "decode_contour", "EvalReport", "evaluate", "evaluate_noisy",
         "SynthSpec", "synth_example", "TrainConfig", "train_loop", "analyze",
-        "make_estimator",
     ])
     assert len(set(pitchkit.__all__)) == len(pitchkit.__all__)
     for name in pitchkit.__all__:
