@@ -306,9 +306,11 @@ def test_eval_noise_flags_rejected_for_csv(workdir, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [["--weights", "nothing.bin"],
+                                   ["--threshold", "0"],
                                    ["--threshold", "0.5"]])
 def test_eval_decoder_flags_rejected_for_csv(workdir, capsys, flags):
-    # a contour CSV is scored as it is: no weights, no decoding
+    # a contour CSV is scored as it is: no weights, no decoding; a threshold
+    # of 0 is given too, though it is falsy
     rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
               + flags)
     assert rc == 1
