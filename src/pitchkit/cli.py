@@ -182,7 +182,8 @@ def cmd_synth(args):
     if args.seed < 0:
         raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    # drawn before anything is written, so a bad range creates nothing
+    # drawn before anything is written, so a bad range or a clip shorter
+    # than one window creates nothing
     specs = [random_spec(rng, duration_s=args.duration, f_low=args.f_low,
                          f_high=args.f_high) for _ in range(args.count)]
     out_dir = Path(args.out)

@@ -37,9 +37,10 @@ has two frames, each widened by HALO frames of context on both sides; HALO is
 the receptive-field half-width, so the kept frames are exactly those of one
 whole-sequence call, and the working set stays bounded by the CHUNK frames
 in flight. The calling thread and one worker thread take blocks from a
-shared queue: numpy releases the GIL inside BLAS and its ufuncs, so two
-blocks run side by side on two CPUs. The worker is used only when the
-process may run on at least two CPUs.
+shared queue (`run_blocks`, which the ACF baseline uses too): numpy
+releases the GIL inside BLAS and its ufuncs, so two blocks run side by side
+on two CPUs. The worker is used only when the process may run on at least
+two CPUs.
 
 While the blocks run, OpenBLAS is held at one thread (`one_blas_thread`).
 Its own threads split each GEMM of this model, whose operands are skinny,
@@ -374,29 +375,13 @@ def forward(p: ModelParams, values: np.ndarray) -> np.ndarray:
     # the partition depends only on t, never on how many threads run it
     n = max(-(-t // BLOCK), min(t, 2))
     edges = [t * k // n for k in range(n + 1)]
-    todo = deque(zip(edges[:-1], edges[1:]))
 
-    def run_blocks():
-        while True:
-            try:
-                lo, hi = todo.popleft()
-            except IndexError:
-                return
-            a, b = max(lo - HALO, 0), min(hi + HALO, t)
-            block, _ = _eval_logits(p, layers, values[None, a:b])
-            logits[lo:hi] = block[0, lo - a:hi - a]
+    def run_block(lo, hi):
+        a, b = max(lo - HALO, 0), min(hi + HALO, t)
+        block, _ = _eval_logits(p, layers, values[None, a:b])
+        logits[lo:hi] = block[0, lo - a:hi - a]
 
-    with one_blas_thread():
-        pool = _worker() if n > 1 else None
-        helper = pool.submit(run_blocks) if pool else None
-        try:
-            run_blocks()
-        finally:
-            todo.clear()  # after an error, the worker stops at its block
-            # a helper that never started (the worker was busy with another
-            # call) is not waited for: this thread ran every block
-            if helper is not None and not helper.cancel():
-                helper.result()
+    run_blocks(zip(edges[:-1], edges[1:]), run_block)
     return logits
 
 
@@ -412,7 +397,7 @@ _blas_saved = None  # (set, count) while held, when OpenBLAS was found
 
 
 def _worker():
-    """The single-thread executor of eval blocks, made on first use; None
+    """The single-thread executor of `run_blocks`, made on first use; None
     when this process may run on only one CPU."""
     global _pool
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -423,6 +408,34 @@ def _worker():
         if _pool is None:
             _pool = ThreadPoolExecutor(1, thread_name_prefix="pitchkit-forward")
         return _pool
+
+
+def run_blocks(blocks, run) -> None:
+    """Call run(lo, hi) for every (lo, hi) of blocks, on the calling thread
+    and the worker, which take the blocks from one shared queue, with
+    OpenBLAS held at one thread. Each block must write only its own part of
+    the output, so the result does not depend on which thread ran it."""
+    todo = deque(blocks)
+
+    def drain():
+        while True:
+            try:
+                lo, hi = todo.popleft()
+            except IndexError:
+                return
+            run(lo, hi)
+
+    with one_blas_thread():
+        pool = _worker() if len(todo) > 1 else None
+        helper = pool.submit(drain) if pool else None
+        try:
+            drain()
+        finally:
+            todo.clear()  # after an error, the worker stops at its block
+            # a helper that never started (the worker was busy with another
+            # call) is not waited for: this thread ran every block
+            if helper is not None and not helper.cancel():
+                helper.result()
 
 
 @functools.cache
@@ -478,6 +491,7 @@ def one_blas_thread():
 
 _MAGIC = b"SWF0"
 _VERSION = 1
+_F4 = np.dtype("<f4")
 
 
 def save_params(p: ModelParams, path) -> None:
@@ -505,40 +519,42 @@ def load_params(path, dtype=np.float32) -> ModelParams:
     mean batch norm subtracts next: fl(m - b) = -fl(b - m), so the folded
     eval layers are bit for bit those of conv + bias."""
     with open(path, "rb") as fh:
-        data = memoryview(fh.read())  # slices share the buffer: no copies
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"{path}: truncated weights file")
-        chunk = data[pos:pos + n]
-        pos += n
-        return chunk
-
-    if take(4) != _MAGIC:
+        data = fh.read()
+    end = len(data)
+    if end >= 4 and data[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic")
-    version, count = struct.unpack("<II", take(8))
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
     tensors = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = str(take(name_len), "utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: tensor name is not UTF-8") from None
-        (rank,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        n_vals = math.prod(shape)  # exact, so a huge shape reads as truncated
-        vals = np.frombuffer(take(4 * n_vals), dtype="<f4")
-        try:
-            vals = vals.reshape(shape)
-        except ValueError:  # too many dimensions, or a size numpy cannot index
-            raise FormatError(f"{path}: tensor {name!r} has shape {shape}, "
-                              "which no ndarray can hold") from None
-        tensors[name] = vals.astype(dtype)
-    if pos != len(data):
+    pos = 12
+    # a field read past the end raises struct.error or IndexError
+    try:
+        version, count = struct.unpack_from("<II", data, 4)
+        if version != _VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, pos)
+            pos += 2 + name_len
+            if pos > end:
+                raise IndexError
+            try:
+                name = data[pos - name_len:pos].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: tensor name is not UTF-8") from None
+            rank = data[pos]
+            shape = struct.unpack_from(f"<{rank}I", data, pos + 1)
+            pos += 1 + 4 * rank
+            size = 4 * math.prod(shape)  # exact: a huge shape is truncated
+            if pos + size > end:
+                raise IndexError
+            try:
+                vals = np.ndarray(shape, _F4, data, pos)
+            except ValueError:  # too many dimensions, or a size numpy cannot index
+                raise FormatError(f"{path}: tensor {name!r} has shape {shape}, "
+                                  "which no ndarray can hold") from None
+            tensors[name] = vals.astype(dtype)
+            pos += size
+    except (IndexError, struct.error):
+        raise FormatError(f"{path}: truncated weights file") from None
+    if pos != end:
         raise FormatError(f"{path}: trailing bytes after last tensor")
 
     def get(name, shape):

@@ -47,6 +47,17 @@ def f0_trajectory(spec: SynthSpec, t: np.ndarray) -> np.ndarray:
     return f0
 
 
+def _clip_samples(duration_s: float) -> int:
+    """Samples of a clip of duration_s at CANONICAL_SR; raises RangeError
+    when they are fewer than one analysis window, as the truth contour
+    would have no frame."""
+    n = int(round(duration_s * CANONICAL_SR))
+    if n < WINDOW:
+        raise RangeError(f"{n} samples is shorter than one "
+                         f"{WINDOW}-sample analysis window")
+    return n
+
+
 def synth_example(spec: SynthSpec):
     """Render the signal at CANONICAL_SR and its exact hop-grid contour.
 
@@ -57,11 +68,7 @@ def synth_example(spec: SynthSpec):
     m*HOP_SECONDS.
     """
     sr = CANONICAL_SR
-    n = int(round(spec.duration_s * sr))
-    if n < WINDOW:
-        # the truth contour would have no frame
-        raise RangeError(f"{n} samples is shorter than one "
-                         f"{WINDOW}-sample analysis window")
+    n = _clip_samples(spec.duration_s)
     t = np.arange(n) / sr
     f0 = f0_trajectory(spec, t)
     if np.any(f0 < F_MIN_HZ) or np.any(f0 > F_MAX_HZ):
@@ -93,13 +100,15 @@ def random_spec(rng: np.random.Generator, duration_s: float = 1.0,
                 f_low: float = 100.0, f_high: float = 1000.0) -> SynthSpec:
     """Random constant/glide/vibrato example inside [f_low, f_high]; raises
     ArgumentError unless 0 < f_low <= f_high and duration_s > 0, all finite,
-    and the duration's samples fit in one float64 array."""
+    and the duration's samples fit in one float64 array, and RangeError
+    when they are fewer than one analysis window (`_clip_samples`)."""
     if not (0.0 < f_low <= f_high < np.inf and 0.0 < duration_s < np.inf):
         raise ArgumentError(f"need finite 0 < f_low <= f_high and duration "
                             f"> 0, got {f_low}, {f_high} and {duration_s}")
     if duration_s * CANONICAL_SR > np.iinfo(np.intp).max // 8:
         raise ArgumentError(f"a {duration_s} s clip has more samples than "
                             f"one float64 array can hold")
+    _clip_samples(duration_s)
     kind = rng.choice(["constant", "glide", "vibrato"])
     # sample pitch log-uniformly
     logf = rng.uniform(np.log(f_low), np.log(f_high))
