@@ -37,7 +37,7 @@ def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarr
     p_sig = float(np.mean(signal ** 2))
     p_noise = float(np.mean(noise ** 2))
     if p_sig == 0.0:
-        raise SkipExample("silent signal")
+        raise SkipExample("silent signal", "silent")
     if p_noise == 0.0:
         return signal.copy()
     return signal + noise_gamma(p_sig, p_noise, snr_db) * noise
@@ -55,7 +55,7 @@ def augment(samples: np.ndarray, cfg: AugmentConfig,
     scaled = samples * 10.0 ** (gain_db / 20.0)
     p_sig = float(np.mean(scaled ** 2))
     if p_sig == 0.0:
-        raise SkipExample("silent segment")
+        raise SkipExample("silent segment", "silent")
 
     alpha = rng.uniform(0.0, 1.0) if cfg.noise_signals else 0.0
     n_gauss = rng.standard_normal(len(samples))

@@ -127,19 +127,18 @@ def cmd_train(args):
     loss_rows = []
 
     def log(entry):
-        loss_rows.append(entry)
-        print(f"epoch={entry['epoch']} loss={entry['loss']:.6f} "
-              f"ce={entry['ce']:.6f} cents={entry['cents']:.6f}")
+        # every field of the history entry, in its order; floats to 6 places
+        loss_rows.append({k: f"{v:.6f}" if isinstance(v, float) else str(v)
+                          for k, v in entry.items()})
+        print(" ".join(f"{k}={v}" for k, v in loss_rows[-1].items()))
 
     params, _ = train_loop(corpus, cfg, log_callback=log)
     net.save_params(params, args.out)
     loss_csv = args.loss_csv or str(Path(args.out).with_suffix(".loss.csv"))
     with open(loss_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "ce", "cents"])
-        for entry in loss_rows:
-            writer.writerow([entry["epoch"], f"{entry['loss']:.6f}",
-                             f"{entry['ce']:.6f}", f"{entry['cents']:.6f}"])
+        writer.writerow(loss_rows[0])
+        writer.writerows(row.values() for row in loss_rows)
 
 
 def cmd_eval(args):

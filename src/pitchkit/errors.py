@@ -42,7 +42,13 @@ class EmptyBatchError(PitchkitError):
 
 
 class SkipExample(PitchkitError):
-    """Signal raised by augmentation when an example cannot be used (e.g. silence)."""
+    """An example training cannot use, for a `reason` training counts by:
+    "short" (shorter than one segment), "unvoiced" (no voiced frame a
+    segment can hold) or "silent"."""
+
+    def __init__(self, message, reason):
+        super().__init__(message)
+        self.reason = reason
 
 
 class AlignmentError(PitchkitError):

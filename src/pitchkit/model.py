@@ -30,6 +30,19 @@ norm centres its input once into x_hat, takes the variance from it and
 scales it in place; its backward takes the two channel sums it needs (which
 are also the beta and gamma gradients) and forms dx in one new array.
 
+Train mode runs on two CPUs too. A training step splits its batch into two
+fixed halves, [0, B//2) and [B//2, B) (one block when B = 1), and every
+full-size pass of every layer, forward and backward, runs once per half
+through `run_blocks`: the conv, the ReLU (backward: its mask) and each
+batch-norm pass (the sum, centring with the sum of squares, scale and
+shift; backward: the s1/s2 sums, dx). Batch norm's statistics span the
+whole batch, so each of its sums is taken per half and the calling thread
+adds the halves' parts in half order; a kernel gradient dw is likewise the
+first half's plus the second's. The halves depend only on B, so the result
+is bit for bit the same whether one thread or two run them. The ReLU mask
+is not stored: the gradient passes where the ReLU's output, the next
+layer's input, is > 0.
+
 Eval mode folds each batch norm into its conv kernel and a bias once per
 call, so a layer is conv -> ReLU. `forward` cuts a spectrogram into
 near-equal blocks of at most BLOCK = CHUNK // 2 frames, at least two when it
@@ -250,39 +263,80 @@ def _conv_backward(x, w, d_out):
     return dx, dw
 
 
+def _on_halves(b, run):
+    """run(lo, hi) through `run_blocks` on the batch halves [0, b//2) and
+    [b//2, b) of a training step, or on one block when b = 1; the results
+    in half order. The split depends only on b, never on how many threads
+    run it."""
+    halves = [(0, b)] if b < 2 else [(0, b // 2), (b // 2, b)]
+    out = {}
+
+    def one(lo, hi):
+        out[lo] = run(lo, hi)
+
+    run_blocks(halves, one)
+    return [out[lo] for lo, _ in halves]
+
+
 def _bn_forward(x, gamma, beta, run_mean, run_var):
     """Train-mode batch norm over all but the channel axis, which also moves
     the running statistics BN_MOMENTUM of the way to the batch's; returns
-    (y, (x_hat, inv_std)). x is left as it is: x_hat is centred once into a
-    new array, then scaled in place."""
-    n = x.size // x.shape[-1]
-    mean = x.mean(axis=(0, 1, 2))
-    x_hat = x - mean
-    flat = x_hat.reshape(n, -1)
-    var = np.einsum("nc,nc->c", flat, flat) / n
+    (y, (x_hat, inv_std)). x is left as it is: x_hat is centred into a new
+    array, then scaled in place. Each pass over the data runs per batch
+    half; the calling thread adds the halves' channel sums in half order."""
+    c = x.shape[-1]
+    n = x.size // c
+    mean = sum(_on_halves(
+        len(x), lambda lo, hi: x[lo:hi].sum(axis=(0, 1, 2)))) / n
+    x_hat = np.empty_like(x)
+
+    def centre(lo, hi):
+        flat = np.subtract(x[lo:hi], mean, out=x_hat[lo:hi]).reshape(-1, c)
+        return np.einsum("nc,nc->c", flat, flat)
+
+    var = sum(_on_halves(len(x), centre)) / n
     run_mean *= 1.0 - BN_MOMENTUM
     run_mean += BN_MOMENTUM * mean
     run_var *= 1.0 - BN_MOMENTUM
     run_var += BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat *= inv_std
-    y = x_hat * gamma
-    y += beta
+    y = np.empty_like(x)
+
+    def scale(lo, hi):
+        half = x_hat[lo:hi]
+        half *= inv_std
+        np.multiply(half, gamma, out=y[lo:hi])
+        y[lo:hi] += beta
+
+    _on_halves(len(x), scale)
     return y, (x_hat, inv_std)
 
 
 def _bn_backward(d_out, x_hat, inv_std, gamma):
     """dx = gamma * inv_std * (d - s1/n - x_hat * s2/n) with the channel sums
     s1 = sum d (the beta gradient) and s2 = sum d * x_hat (the gamma
-    gradient), in one new array."""
+    gradient), in one new array. The sums and dx run per batch half; the
+    calling thread adds the halves' sums in half order."""
     c = d_out.shape[-1]
     n = d_out.size // c
-    s1 = d_out.sum(axis=(0, 1, 2))
-    s2 = np.einsum("nc,nc->c", d_out.reshape(n, c), x_hat.reshape(n, c))
-    dx = x_hat * (-s2 / n)
-    dx += d_out
-    dx -= s1 / n
-    dx *= gamma * inv_std
+
+    def sums(lo, hi):
+        d = d_out[lo:hi]
+        return d.sum(axis=(0, 1, 2)), np.einsum(
+            "nc,nc->c", d.reshape(-1, c), x_hat[lo:hi].reshape(-1, c))
+
+    parts = _on_halves(len(d_out), sums)
+    s1 = sum(s for s, _ in parts)
+    s2 = sum(s for _, s in parts)
+    dx = np.empty_like(d_out)
+
+    def grad(lo, hi):
+        half = np.multiply(x_hat[lo:hi], -s2 / n, out=dx[lo:hi])
+        half += d_out[lo:hi]
+        half -= s1 / n
+        half *= gamma * inv_std
+
+    _on_halves(len(d_out), grad)
     return dx, s2, s1
 
 
@@ -322,17 +376,23 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False):
     if not train:
         logits, feat = _eval_logits(p, _fold(p), x)
         return logits, {"train": False, "feat": feat}
+    b = len(x)
     layers = []
     h = x[..., None]  # (B, T, F, 1)
-    for i in range(len(p.conv_w)):
-        layer_in = h
-        z = _conv_forward(h, p.conv_w[i],
-                          np.zeros(len(p.conv_w[i]), dtype=p.dtype))
+    for i, w in enumerate(p.conv_w):
+        zero = np.zeros(len(w), dtype=p.dtype)
+        z = np.empty(h.shape[:3] + (len(w),), dtype=p.dtype)
+
+        def conv(lo, hi):
+            z[lo:hi] = _conv_forward(h[lo:hi], w, zero)
+
+        _on_halves(b, conv)
         y, (x_hat, inv_std) = _bn_forward(
             z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i])
-        relu_mask = y > 0.0
-        h = np.maximum(y, 0.0, out=y)
-        layers.append((layer_in, x_hat, inv_std, relu_mask))
+        del z
+        _on_halves(b, lambda lo, hi: np.maximum(y[lo:hi], 0.0, out=y[lo:hi]))
+        layers.append((h, x_hat, inv_std))
+        h = y
     feat = h[..., 0]  # (B, T, F)
     logits = feat @ p.proj_w.T + p.proj_b
     return logits, {"train": True, "layers": layers, "feat": feat}
@@ -340,23 +400,36 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False):
 
 def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
     """Gradients, keyed like ModelParams.trainable(), of the scalar loss
-    whose logit-gradient is d_logits."""
+    whose logit-gradient is d_logits.
+
+    A ReLU passed the gradient where its output, the next layer's input (or
+    the final feature map), is > 0, so no mask is kept from the forward."""
     if not cache.get("train"):
         raise StateError("backward requires a cache from a train-mode forward")
     if len(cache["layers"]) != len(p.conv_w):
         raise StateError("cache does not match this parameter set")
     d_logits = np.asarray(d_logits, dtype=p.dtype)
+    b = len(d_logits)
+    feat = cache["feat"]
     grads = {}
     d_flat = d_logits.reshape(-1, N_BINS)
-    grads["proj.weight"] = d_flat.T @ cache["feat"].reshape(-1, N_BANDS)
+    grads["proj.weight"] = d_flat.T @ feat.reshape(-1, N_BANDS)
     grads["proj.bias"] = d_flat.sum(axis=0)
-    d_h = (d_logits @ p.proj_w)[..., None]  # (B, T, F, 1)
+    d_y = np.multiply(d_logits @ p.proj_w, feat > 0.0)[..., None]
     for i in reversed(range(len(p.conv_w))):
-        layer_in, x_hat, inv_std, relu_mask = cache["layers"][i]
-        d_y = np.multiply(d_h, relu_mask, out=d_h)
+        layer_in, x_hat, inv_std = cache["layers"][i]
         d_z, d_gamma, d_beta = _bn_backward(d_y, x_hat, inv_std, p.bn_gamma[i])
-        d_h, dw = _conv_backward(layer_in, p.conv_w[i], d_z)
-        grads[f"conv{i}.weight"] = dw
+        # the gradient of the layer below's output, through its ReLU
+        d_y = None if i == 0 else np.empty_like(layer_in)
+
+        def conv(lo, hi):
+            x = layer_in[lo:hi]
+            dx, dw = _conv_backward(x, p.conv_w[i], d_z[lo:hi])
+            if dx is not None:
+                np.multiply(dx, x > 0.0, out=d_y[lo:hi])
+            return dw
+
+        grads[f"conv{i}.weight"] = sum(_on_halves(b, conv))
         grads[f"bn{i}.gamma"] = d_gamma
         grads[f"bn{i}.beta"] = d_beta
     return grads

@@ -24,6 +24,8 @@ SEGMENT_SECONDS = 0.5
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# SkipExample.reason values, each counted per epoch in the history
+SKIP_REASONS = ("short", "unvoiced", "silent")
 
 
 @dataclass
@@ -51,33 +53,38 @@ class Adam:
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         for name, p in params.items():
-            g = grads[name].astype(p.dtype)
+            g = grads[name].astype(p.dtype, copy=False)
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
-            p -= (lr * (self.m[name] / bc1)
-                  / (np.sqrt(self.v[name] / bc2) + ADAM_EPS)).astype(p.dtype)
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            p -= (lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)).astype(
+                p.dtype, copy=False)
 
 
 def extract_segment(buf: AudioBuffer, truth: PitchContour, rng):
     """Random hop-aligned 0.5 s window centered on a voiced frame of a
-    CANONICAL_SR buffer.
+    CANONICAL_SR buffer, drawn from the voiced frames some window can hold.
 
     Returns (segment samples, target f0 per segment frame, voiced mask).
     """
     seg_len = int(SEGMENT_SECONDS * CANONICAL_SR)
     if len(buf.samples) < seg_len:
-        raise SkipExample("file shorter than one training segment")
+        raise SkipExample("file shorter than one training segment", "short")
     seg_frames = (seg_len - WINDOW) // HOP + 1
-    voiced_idx = np.flatnonzero(truth.voiced)
-    if len(voiced_idx) == 0:
-        raise SkipExample("no voiced frames")
     max_start_frame = min((len(buf.samples) - seg_len) // HOP,
                           len(truth) - seg_frames)
     if max_start_frame < 0:
-        raise SkipExample("truth contour shorter than one training segment")
+        raise SkipExample("truth contour shorter than one training segment",
+                          "short")
+    # a centre past the last segment's end would be clipped out of it
+    voiced_idx = np.flatnonzero(truth.voiced[:max_start_frame + seg_frames])
+    if len(voiced_idx) == 0:
+        raise SkipExample("no voiced frames", "unvoiced")
     center = int(rng.choice(voiced_idx))
     start_frame = int(np.clip(center - seg_frames // 2, 0, max_start_frame))
     s0 = start_frame * HOP
@@ -93,12 +100,15 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
     Audio at another rate is resampled to CANONICAL_SR once, before the
     first epoch; without `params`, training starts from new float32
     weights. Returns (params, history) where history is a list of per-epoch
-    dicts with keys epoch/loss/ce/cents. Raises ArgumentError for a batch
-    size or epoch count below 1, a learning rate that is not a positive
-    finite number, a loss weight lam that is not a non-negative finite
-    number, a negative seed, or an epoch that skips every example, so it
-    would take no step; raises AlignmentError when a truth contour's hop is
-    not HOP_SECONDS.
+    dicts: the means over the epoch's steps of loss/ce/cents and of each
+    step's global L2 gradient norm (grad_norm), the number of steps, and
+    the examples skipped per SkipExample reason (skipped_short,
+    skipped_unvoiced, skipped_silent). Each step runs with OpenBLAS held at
+    one thread. Raises ArgumentError for a batch size or epoch count below
+    1, a learning rate that is not a positive finite number, a loss weight
+    lam that is not a non-negative finite number, a negative seed, or an
+    epoch that skips every example, so it would take no step; raises
+    AlignmentError when a truth contour's hop is not HOP_SECONDS.
     """
     if cfg.batch_size < 1:
         raise ArgumentError(f"batch size must be >= 1, got {cfg.batch_size}")
@@ -131,8 +141,8 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(corpus))
-        losses, ces, cents_l = [], [], []
-        skipped = 0
+        losses, ces, cents_l, norms = [], [], [], []
+        skipped = dict.fromkeys(SKIP_REASONS, 0)
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             segs, f0s, masks = [], [], []
@@ -141,39 +151,50 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                 try:
                     seg, f0, mask = extract_segment(buf, truth, rng)
                     seg = augment(seg, cfg.augment, rng)
-                except SkipExample:
-                    skipped += 1
+                except SkipExample as exc:
+                    skipped[exc.reason] += 1
                     continue
                 segs.append(seg)
                 f0s.append(f0)
                 masks.append(mask)
             if not segs:
                 continue
-            spec = batch_spectrogram(np.stack(segs))
             f0 = np.stack(f0s)
             mask = np.stack(masks)
             # frames with no defined pitch get a dummy target outside the loss
             f0_safe = np.where(mask & np.isfinite(f0), f0, F_MIN_HZ)
             targets = freq_to_bin(f0_safe.reshape(-1))
-            logits, cache = net.forward_batch(params, spec, train=True)
-            flat = logits.reshape(-1, N_BINS)
-            total, d_flat, ce, cents = loss_total(
-                flat, targets, f0_safe.reshape(-1), mask.reshape(-1),
-                lam=cfg.lam)
-            if not np.isfinite(total):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads = net.backward_batch(params, cache,
-                                       d_flat.reshape(logits.shape))
-            opt.step(trainable, grads)
+            # as in analyze: OpenBLAS's own threads would queue behind the
+            # network's two, and spin on after the front-end's GEMMs
+            with net.one_blas_thread():
+                spec = batch_spectrogram(np.stack(segs))
+                logits, cache = net.forward_batch(params, spec, train=True)
+                flat = logits.reshape(-1, N_BINS)
+                total, d_flat, ce, cents = loss_total(
+                    flat, targets, f0_safe.reshape(-1), mask.reshape(-1),
+                    lam=cfg.lam)
+                if not np.isfinite(total):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                grads = net.backward_batch(params, cache,
+                                           d_flat.reshape(logits.shape))
+                opt.step(trainable, grads)
             losses.append(total)
             ces.append(ce)
             cents_l.append(cents)
+            # the step's global L2 gradient norm, summed in float64
+            norms.append(math.sqrt(sum(
+                float(np.square(g, dtype=np.float64).sum())
+                for g in grads.values())))
         if not losses:
             raise ArgumentError(
-                f"epoch {epoch} made no step: all {skipped} examples skipped "
-                f"(shorter than {SEGMENT_SECONDS} s, unvoiced or silent)")
+                f"epoch {epoch} made no step: all {sum(skipped.values())} "
+                f"examples skipped (shorter than {SEGMENT_SECONDS} s, "
+                f"unvoiced or silent)")
         entry = {"epoch": epoch, "loss": float(np.mean(losses)),
-                 "ce": float(np.mean(ces)), "cents": float(np.mean(cents_l))}
+                 "ce": float(np.mean(ces)), "cents": float(np.mean(cents_l)),
+                 "steps": len(losses),
+                 **{f"skipped_{reason}": n for reason, n in skipped.items()},
+                 "grad_norm": float(np.mean(norms))}
         history.append(entry)
         if log_callback is not None:
             log_callback(entry)

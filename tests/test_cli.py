@@ -125,8 +125,10 @@ def test_train_end_to_end(workdir):
     assert rc == 0
     assert out.is_file()
     loss_csv = (workdir / "trained.loss.csv").read_text().splitlines()
-    assert loss_csv[0] == "epoch,loss,ce,cents"
+    assert loss_csv[0] == ("epoch,loss,ce,cents,steps,skipped_short,"
+                           "skipped_unvoiced,skipped_silent,grad_norm")
     assert len(loss_csv) == 3
+    assert loss_csv[1].startswith("0,") and loss_csv[1].split(",")[4] == "1"
     params = net.load_params(out)
     assert net.count_params(params) == net.count_params(net.init_params(0))
 

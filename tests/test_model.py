@@ -456,6 +456,111 @@ def test_forward_fallbacks_give_same_logits(monkeypatch, fallback):
     assert np.array_equal(net.forward(p, x), expected)
 
 
+def train_step(p, x, d_logits):
+    """Train-mode logits, gradients and the running statistics after them."""
+    logits, cache = net.forward_batch(p, x, train=True)
+    grads = net.backward_batch(p, cache, d_logits)
+    return logits, grads, [a.copy() for a in p.bn_mean + p.bn_var]
+
+
+def reference_train_step(p, x, d_logits):
+    """train_step on the whole batch at once: the conv kernels, the
+    textbook batch norm and an explicit ReLU mask."""
+    h, saved = x[..., None], []
+    means, variances = [], []
+    for i, w in enumerate(p.conv_w):
+        z = net._conv_forward(h, w, np.zeros(len(w)))
+        y, x_hat, inv_std, mean, var = reference_bn_forward(
+            z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i], True)
+        means.append(mean)
+        variances.append(var)
+        saved.append((h, x_hat, inv_std, y > 0.0))
+        h = np.maximum(y, 0.0)
+    feat = h[..., 0]
+    logits = feat @ p.proj_w.T + p.proj_b
+    d_flat = d_logits.reshape(-1, grid.N_BINS)
+    grads = {"proj.weight": d_flat.T @ feat.reshape(-1, feat.shape[-1]),
+             "proj.bias": d_flat.sum(axis=0)}
+    d_h = (d_logits @ p.proj_w)[..., None]
+    for i in reversed(range(len(p.conv_w))):
+        h, x_hat, inv_std, mask = saved[i]
+        d_z, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = reference_bn_backward(
+            d_h * mask, x_hat, inv_std, p.bn_gamma[i])
+        d_h, grads[f"conv{i}.weight"] = net._conv_backward(h, p.conv_w[i], d_z)
+    return logits, grads, means + variances
+
+
+def train_inputs(b, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((b, 9, 132)),
+            rng.standard_normal((b, 9, grid.N_BINS)))
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 16])
+def test_train_step_matches_whole_batch_reference(b):
+    # the batch halves change only the order of float64 summation
+    x, d_logits = train_inputs(b, b)
+    p = random_bn_params(37, np.float64)
+    ref_logits, ref_grads, ref_stats = reference_train_step(
+        random_bn_params(37, np.float64), x, d_logits)
+    logits, grads, stats = train_step(p, x, d_logits)
+    assert grads.keys() == ref_grads.keys()
+    pairs = ([(logits, ref_logits)] + [(g, ref_grads[n]) for n, g in grads.items()]
+             + list(zip(stats, ref_stats)))
+    for got, expected in pairs:
+        # relative to the array's largest entry: an entry that cancels to
+        # near zero keeps the rounding of its larger terms
+        np.testing.assert_allclose(got, expected, rtol=1e-10,
+                                   atol=1e-10 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 5, 16])
+def test_train_step_same_without_worker(monkeypatch, dtype, b):
+    # the halves are fixed by the batch size, so one thread running both
+    # gives the two threads' result bit for bit
+    x, d_logits = train_inputs(b, 40 + b)
+    two = train_step(random_bn_params(41, dtype), x, d_logits)
+    monkeypatch.setattr(net, "_worker", lambda: None)
+    one = train_step(random_bn_params(41, dtype), x, d_logits)
+    assert np.array_equal(one[0], two[0])
+    for name, g in one[1].items():
+        assert np.array_equal(g, two[1][name]), name
+    for got, expected in zip(one[2], two[2]):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kernel", ["_conv_forward", "_conv_backward"])
+def test_train_error_in_one_half_restores_blas_threads(monkeypatch, kernel):
+    api = net._openblas_threads()
+    if api is None:
+        pytest.skip("no OpenBLAS thread-count calls in this numpy")
+    p = net.init_params(0)
+    x, d_logits = train_inputs(16, 3)
+    _, cache = net.forward_batch(p, x, train=True)
+    run, held = getattr(net, kernel), []
+
+    def fail_second_half(*args):
+        held.append(api[0]())
+        if len(held) == 2:
+            raise RuntimeError("half failed")
+        return run(*args)
+
+    monkeypatch.setattr(net, kernel, fail_second_half)
+    saved = api[0]()
+    api[1](2)
+    try:
+        with pytest.raises(RuntimeError, match="half failed"):
+            if kernel == "_conv_forward":
+                net.forward_batch(p, x, train=True)
+            else:
+                net.backward_batch(p, cache, d_logits)
+        assert api[0]() == 2
+    finally:
+        api[1](saved)
+    assert set(held) == {1}
+
+
 def test_save_load_round_trip(tmp_path):
     p = net.init_params(42)
     path = tmp_path / "w.bin"

@@ -7,8 +7,8 @@ from pitchkit.dsp import spectrogram
 from pitchkit.audio_io import resample_linear
 from pitchkit.errors import AlignmentError, ArgumentError, SkipExample
 from pitchkit.synth import SynthSpec, synth_example
-from pitchkit.train import (Adam, TrainConfig, batch_spectrogram,
-                            extract_segment, train_loop)
+from pitchkit.train import (ADAM_EPS, BETA1, BETA2, Adam, TrainConfig,
+                            batch_spectrogram, extract_segment, train_loop)
 
 
 def tiny_corpus(n=2, seed=0):
@@ -41,6 +41,33 @@ def test_adam_state_per_tensor():
     opt.step(p, {"a": np.ones(2), "b": np.zeros(2)})
     assert p["a"][0] != 0.0
     assert p["b"][0] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_matches_formula(dtype):
+    # the moments are updated in place, with the bits of the textbook form
+    rng = np.random.default_rng(3)
+    p = {"w": rng.standard_normal((4, 5)).astype(dtype),
+         "b": rng.standard_normal(5).astype(dtype)}
+    ref = {k: v.copy() for k, v in p.items()}
+    m = {k: np.zeros_like(v) for k, v in p.items()}
+    v = {k: np.zeros_like(a) for k, a in p.items()}
+    cfg = TrainConfig(lr=0.01)
+    opt = Adam(cfg)
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(a.shape) for k, a in p.items()}
+        opt.step(p, grads)
+        for k, a in ref.items():
+            g = grads[k].astype(dtype)
+            m[k] = BETA1 * m[k] + (1 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1 - BETA2) * g * g
+            a -= (cfg.lr * (m[k] / (1.0 - BETA1 ** t))
+                  / (np.sqrt(v[k] / (1.0 - BETA2 ** t)) + ADAM_EPS)).astype(dtype)
+    for k in p:
+        assert np.array_equal(p[k], ref[k])
+        assert np.array_equal(opt.m[k], m[k])
+        assert np.array_equal(opt.v[k], v[k])
+        assert p[k].dtype == opt.m[k].dtype == dtype
 
 
 # -- batched front-end ------------------------------------------------------
@@ -92,6 +119,34 @@ def test_extract_segment_truth_shorter_than_segment():
                          np.ones(20, bool))
     with pytest.raises(SkipExample, match="truth contour shorter"):
         extract_segment(buf, truth, np.random.default_rng(0))
+
+
+def unreachable_voicing_clip():
+    """16,128 samples with a 60-frame truth voiced only at frame 59: the
+    last segment start is frame 31, so segments reach frame 58 at most."""
+    from pitchkit.audio_io import PitchContour
+    buf, _ = tiny_corpus(1, seed=4)[0]
+    buf.samples = buf.samples[:16128]
+    voiced = np.zeros(60, bool)
+    voiced[59] = True
+    return buf, PitchContour(0.016, np.where(voiced, 220.0, np.nan),
+                             voiced.astype(float), voiced)
+
+
+def test_extract_segment_skips_voicing_no_segment_reaches():
+    buf, truth = unreachable_voicing_clip()
+    with pytest.raises(SkipExample, match="no voiced frames") as err:
+        extract_segment(buf, truth, np.random.default_rng(0))
+    assert err.value.reason == "unvoiced"
+
+
+def test_train_skips_clip_whose_voicing_no_segment_reaches():
+    # it used to give a segment with no voiced frame, and the batch of one
+    # failed in the loss with EmptyBatchError
+    corpus = [unreachable_voicing_clip()] + tiny_corpus(1)
+    _, hist = train_loop(corpus, TrainConfig(epochs=2, batch_size=1))
+    assert [h["skipped_unvoiced"] for h in hist] == [1, 1]
+    assert [h["steps"] for h in hist] == [1, 1]
 
 
 def test_extract_segment_uses_truth_up_to_its_end():
@@ -163,6 +218,18 @@ def test_training_deterministic():
         np.testing.assert_array_equal(a, p2.all_tensors()[name])
 
 
+def test_training_same_without_worker(monkeypatch):
+    # the step's batch halves do not depend on how many threads run them
+    corpus = tiny_corpus(3)
+    cfg = TrainConfig(seed=5, epochs=2, batch_size=3, lr=1e-3)
+    p2, h2 = train_loop(corpus, cfg)
+    monkeypatch.setattr(net, "_worker", lambda: None)
+    p1, h1 = train_loop(corpus, cfg)
+    assert h1 == h2
+    for name, a in p1.all_tensors().items():
+        assert np.array_equal(a, p2.all_tensors()[name]), name
+
+
 def test_lambda_changes_updates():
     corpus = tiny_corpus(2)
     p0, _ = train_loop(corpus, TrainConfig(seed=7, epochs=1, batch_size=2,
@@ -192,7 +259,27 @@ def test_history_fields():
                          log_callback=seen.append)
     assert len(hist) == 2
     assert seen == hist
-    assert set(hist[0]) == {"epoch", "loss", "ce", "cents"}
+    assert list(hist[0]) == ["epoch", "loss", "ce", "cents", "steps",
+                             "skipped_short", "skipped_unvoiced",
+                             "skipped_silent", "grad_norm"]
+    assert hist[0]["steps"] == 1 and hist[0]["grad_norm"] > 0.0
+
+
+def test_history_counts_skips_by_reason():
+    # one clip shorter than a segment, one unvoiced, one silent, one good
+    from pitchkit.audio_io import AudioBuffer
+    good, unvoiced, silent = tiny_corpus(3, seed=6)
+    unvoiced[1].voiced[:] = False
+    silent = (AudioBuffer(np.zeros_like(silent[0].samples), 16000), silent[1])
+    short = synth_example(SynthSpec(kind="constant", f0_hz=220.0,
+                                    n_harmonics=4, duration_s=0.3))
+    _, hist = train_loop([short, unvoiced, silent, good],
+                         TrainConfig(epochs=2, batch_size=2))
+    for entry in hist:
+        assert (entry["skipped_short"], entry["skipped_unvoiced"],
+                entry["skipped_silent"]) == (1, 1, 1)
+        # the good clip's batch is the only one with a step
+        assert entry["steps"] == 1
 
 
 def test_epoch_without_step_fails():

@@ -1,0 +1,129 @@
+"""Run perfbench on a parent and a change checkout in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_N.json \
+        --runs train=11-20 --runs clips=11-13 --runs long=11-13 \
+        [--trace train=21] [--seconds 20] [--parent-rev REV] [--change TEXT]
+
+Each (workload, seed) is one pair: `perfbench/run.py` runs in the parent
+checkout and in the change checkout back to back, the parent first on odd
+seeds and the change first on even ones. `--runs` pairs are untraced and are
+the ones summed up; `--trace` pairs give per-layer metrics only. The JSON
+(change, parent, command, host, pairs, summary, runs) is rewritten after
+every pair, so an interrupted session keeps what it measured. The summary
+gives, per workload and end-to-end metric, each side's median and
+quartiles, and how many pairs the change won (by the metric's direction in
+BENCHMARK.json; ties count for neither side).
+"""
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace T"
+
+
+def seed_range(text):
+    """'train=11-20' -> ('train', [11, ..., 20]); 'clips=5' -> ('clips', [5])."""
+    workload, _, seeds = text.partition("=")
+    lo, _, hi = seeds.partition("-")
+    return workload, list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_one(checkout, workload, seed, seconds, trace):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    return proc.returncode, result
+
+
+def host():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpus = len(os.sched_getaffinity(0))
+    return (f"{cpus} CPUs, {cpus} BLAS threads (perfbench's setting), "
+            f"numpy {np.__version__}, {blas['name']} {blas['version']}")
+
+
+def quartiles(values):
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def summary(runs, better):
+    """Per workload: each metric's quartiles per side and the change's wins
+    over the untraced pairs in which both sides succeeded."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs if not r["trace"]):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload and not r["trace"] and r["result"]:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        pairs = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+        row = {}
+        wins = {}
+        for metric, direction in better.items():
+            sides = {side: [p[side][metric]["value"] for p in pairs]
+                     for side in ("parent", "change")}
+            row[metric] = {side: quartiles(v) for side, v in sides.items()}
+            sign = 1 if direction == "higher" else -1
+            won = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+            wins[metric] = f"{won}/{len(pairs)}"
+        row["change_wins"] = wins
+        row["pairs"] = len(pairs)
+        row["setup_s_per_run"] = {side: [p[side]["setup_s"]["value"] for p in pairs]
+                                  for side in ("parent", "change")}
+        out[workload] = row
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_dir")
+    ap.add_argument("change_dir")
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--runs", type=seed_range, action="append", default=[],
+                    help="WORKLOAD=FIRST-LAST: untraced pairs")
+    ap.add_argument("--trace", type=seed_range, action="append", default=[],
+                    help="WORKLOAD=FIRST-LAST: traced pairs")
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--parent-rev", default="")
+    ap.add_argument("--change", default="")
+    args = ap.parse_args(argv)
+    with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    doc = {"change": args.change, "parent": args.parent_rev,
+           "command": COMMAND.format(seconds=f"{args.seconds:g}"), "host": host(),
+           "pairs": "each seed runs parent and change back to back; odd seeds "
+                    "run the parent first, even seeds the change first; 'ran' "
+                    "is the position in the pair",
+           "summary": {}, "runs": []}
+    plan = [(w, s, 0) for w, seeds in args.runs for s in seeds]
+    plan += [(w, s, 1) for w, seeds in args.trace for s in seeds]
+    for workload, seed, trace in plan:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for ran, side in enumerate(order, 1):
+            checkout = args.parent_dir if side == "parent" else args.change_dir
+            code, result = run_one(checkout, workload, seed, args.seconds, trace)
+            doc["runs"].append({"workload": workload, "seed": seed, "trace": trace,
+                                "side": side, "ran": ran, "returncode": code,
+                                "result": result})
+            value = result["metrics"].get("audio_s_per_s", {}).get("value") if result else None
+            print(f"{workload} seed {seed} trace {trace} {side}: rc {code} "
+                  f"audio_s_per_s {value}", file=sys.stderr, flush=True)
+        doc["summary"] = summary(doc["runs"], better)
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
