@@ -184,7 +184,8 @@ def read_contour_csv(path) -> PitchContour:
 
     The first time must be 0 and every later step must match that hop, both
     within HOP_TOLERANCE_S: frames are paired by index, so a contour that
-    starts late would be scored against the wrong truth frames.
+    starts late would be scored against the wrong truth frames. `voiced` is
+    `0` or `1`, and confidence a finite number in [0, 1].
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -204,12 +205,21 @@ def read_contour_csv(path) -> PitchContour:
             times.append(float(row[0]))
             f0s.append(float("nan") if row[1] == "" else float(row[1]))
             confs.append(float(row[2]))
-            voiced.append(bool(int(row[3])))
         except ValueError:
             raise FormatError(
                 f"{path}: non-numeric field in row {i}: {row}") from None
+        if row[3] not in ("0", "1"):
+            raise FormatError(f"{path}: voiced field in row {i} is not 0 or "
+                              f"1: {row}")
+        voiced.append(row[3] == "1")
     if not np.all(np.isfinite(times)):
         raise FormatError(f"{path}: non-finite time")
+    confs = np.array(confs)
+    # NaN fails both comparisons
+    bad = np.flatnonzero(~((confs >= 0) & (confs <= 1)))
+    if len(bad):
+        raise FormatError(f"{path}: confidence {confs[bad[0]]} in row "
+                          f"{bad[0] + 2} is not in [0, 1]")
     if times and abs(times[0]) > HOP_TOLERANCE_S:
         raise FormatError(f"{path}: first time is {times[0]:.6f} s, not 0")
     if len(times) >= 2:
@@ -223,5 +233,5 @@ def read_contour_csv(path) -> PitchContour:
     else:
         hop = HOP_SECONDS
     return PitchContour(hop_seconds=hop, f0_hz=np.array(f0s),
-                        confidence=np.array(confs),
+                        confidence=confs,
                         voiced=np.array(voiced, dtype=bool))

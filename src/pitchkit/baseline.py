@@ -23,12 +23,10 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import (CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer,
-                       PitchContour, resample_linear)
-from .dsp import WINDOW, rfft_radix2
-from .errors import InputTooShort
+from .audio_io import (CANONICAL_SR, HOP_SECONDS, AudioBuffer, PitchContour,
+                       resample_linear)
+from .dsp import WINDOW, frames, rfft_radix2
 from .grid import F_MAX_HZ, F_MIN_HZ
 from .model import run_blocks
 
@@ -65,14 +63,10 @@ def acf_contour(buf: AudioBuffer) -> PitchContour:
     Confidence is the normalized peak height, clipped to [0, 1], and a
     frame is voiced when it reaches VOICING; parabolic interpolation refines
     the lag. A frame of zero energy after its mean is removed has F0 NaN
-    and confidence 0.
+    and confidence 0. Raises InputTooShort below one WINDOW (`dsp.frames`).
     """
-    buf = resample_linear(buf, CANONICAL_SR)
-    x = buf.samples
-    if len(x) < WINDOW:
-        raise InputTooShort(f"need at least {WINDOW} samples")
-    frames = sliding_window_view(x, WINDOW)[::HOP]
-    t = len(frames)
+    framed = frames(resample_linear(buf, CANONICAL_SR).samples)
+    t = len(framed)
     f0 = np.full(t, np.nan)
     conf = np.zeros(t)
     lag_matrix = _lag_matrix()
@@ -80,7 +74,7 @@ def acf_contour(buf: AudioBuffer) -> PitchContour:
     def run_block(lo, hi):
         padded = np.zeros((hi - lo, FFT_SIZE))
         block = padded[:, :WINDOW]
-        block[...] = frames[lo:hi]
+        block[...] = framed[lo:hi]
         block -= block.mean(axis=1, keepdims=True)
         energy = np.einsum("ij,ij->i", block, block)
         spec = rfft_radix2(padded)

@@ -1,4 +1,4 @@
-"""Spectral front-end: Hann STFT, pitch-band selection, log compression.
+"""Spectral front-end: framing, Hann STFT, pitch band, log magnitude.
 
 The front-end is the one the model was trained on, so it is fixed and
 stated once, as module constants: 16 kHz audio (`audio_io.CANONICAL_SR`),
@@ -7,11 +7,12 @@ samples (`audio_io.HOP`), and FFT bins K_MIN..K_MAX = 3..134, the ends of
 the pitch grid (46.875-2093.75 Hz), so N_BANDS = 132. Audio at another rate
 is resampled before it reaches this module.
 
-One path serves training and inference: `batch_spectrogram` frames the last
-axis of any (..., L) sample array into hop-spaced Hann frames (a strided
-view, no gather), runs the FFT over every frame at once, and keeps the log
-magnitude of the pitch band, giving (..., T, N_BANDS). `spectrogram` calls
-it on one buffer, `train_loop` on a (B, L) batch of segments.
+`frames` is the one framing rule: `batch_spectrogram`, the ACF baseline
+and the synthesizer's truth labels (the F0 at each frame's centre) all use
+it, so each gives one frame per spectrogram frame. `batch_spectrogram`
+takes the log(|X| + LOG_EPSILON) of the pitch band of the FFT of every
+Hann-windowed frame at once; `spectrogram` calls it on one buffer and
+`train_loop` on a (B, L) batch of segments.
 
 The FFT packs N real samples into m = N/2 complex points, transforms them
 with a four-step (Bailey) FFT and untwiddles the result into the real
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import CANONICAL_SR, HOP, AudioBuffer
-from .errors import ArgumentError, DomainError, InputTooShort, ShapeError
+from .errors import ArgumentError, InputTooShort
 from .grid import F_MAX_HZ, F_MIN_HZ
 
 WINDOW = 1024
@@ -40,17 +41,20 @@ K_MIN = round(F_MIN_HZ * WINDOW / CANONICAL_SR)
 K_MAX = round(F_MAX_HZ * WINDOW / CANONICAL_SR)
 N_BANDS = K_MAX - K_MIN + 1
 LOG_EPSILON = 1e-8
-
-
-def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window: w[i] = 0.5*(1 - cos(2*pi*i/n))."""
-    if n < 2:
-        raise ArgumentError("window length must be >= 2")
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
-
-
-HANN = hann_window(WINDOW)
+# periodic Hann window: w[i] = 0.5 * (1 - cos(2 pi i / WINDOW))
+HANN = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW))
 HANN.flags.writeable = False
+
+
+def frames(samples: np.ndarray) -> np.ndarray:
+    """(..., L) samples -> (..., T, WINDOW) read-only strided view of the
+    left-aligned, unpadded frames, HOP samples apart, T = (L - WINDOW) //
+    HOP + 1; raises InputTooShort when L < WINDOW."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.shape[-1] < WINDOW:
+        raise InputTooShort(
+            f"need at least {WINDOW} samples, got {samples.shape[-1]}")
+    return sliding_window_view(samples, WINDOW, axis=-1)[..., ::HOP, :]
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -109,37 +113,11 @@ def rfft_radix2(frames: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (m + 1,))
 
 
-def _magnitude(samples: np.ndarray) -> np.ndarray:
-    """(..., L) samples -> (..., T, N/2+1) magnitudes of left-aligned,
-    unpadded Hann frames, HOP samples apart."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1] < WINDOW:
-        raise InputTooShort(
-            f"need at least {WINDOW} samples, got {samples.shape[-1]}")
-    frames = sliding_window_view(samples, WINDOW, axis=-1)[..., ::HOP, :]
-    return np.abs(rfft_radix2(frames * HANN))
-
-
-def band_select(full: np.ndarray) -> np.ndarray:
-    """Keep columns K_MIN..K_MAX inclusive of the half spectrum (last axis)."""
-    expected = WINDOW // 2 + 1
-    if full.ndim < 1 or full.shape[-1] != expected:
-        raise ShapeError(f"expected (..., {expected}), got {full.shape}")
-    return full[..., K_MIN:K_MAX + 1]
-
-
-def log_compress(mag: np.ndarray) -> np.ndarray:
-    """Elementwise log(mag + LOG_EPSILON)."""
-    mag = np.asarray(mag)
-    if np.any(mag < 0):
-        raise DomainError("magnitudes must be nonnegative")
-    return np.log(mag + LOG_EPSILON)
-
-
 def batch_spectrogram(samples: np.ndarray) -> np.ndarray:
     """(..., L) samples at CANONICAL_SR -> (..., T, N_BANDS) log band
-    magnitudes."""
-    return log_compress(band_select(_magnitude(samples)))
+    magnitudes; raises InputTooShort below one WINDOW."""
+    band = rfft_radix2(frames(samples) * HANN)[..., K_MIN:K_MAX + 1]
+    return np.log(np.abs(band) + LOG_EPSILON)
 
 
 def spectrogram(buf: AudioBuffer) -> np.ndarray:

@@ -43,8 +43,8 @@ class EmptyBatchError(PitchkitError):
 
 class SkipExample(PitchkitError):
     """An example training cannot use, for a `reason` training counts by:
-    "short" (shorter than one segment), "unvoiced" (no voiced frame a
-    segment can hold) or "silent"."""
+    "short" (shorter than one segment), "unvoiced" (no voiced frame with a
+    finite, positive F0 that a segment can hold) or "silent"."""
 
     def __init__(self, message, reason):
         super().__init__(message)

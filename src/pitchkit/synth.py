@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer, PitchContour
-from .dsp import WINDOW
+from .audio_io import CANONICAL_SR, HOP_SECONDS, AudioBuffer, PitchContour
+from .dsp import WINDOW, frames
 from .errors import ArgumentError, RangeError
 from .grid import F_MAX_HZ, F_MIN_HZ
 
@@ -85,13 +85,12 @@ def synth_example(spec: SynthSpec):
         sig *= 0.9 / peak
     buf = AudioBuffer(sig, sr)
 
-    n_frames = (n - WINDOW) // HOP + 1
-    centers = np.arange(n_frames) * HOP + WINDOW // 2
+    labels = frames(f0)[:, WINDOW // 2].copy()  # F0 at each frame's centre
     truth = PitchContour(
         hop_seconds=HOP_SECONDS,
-        f0_hz=f0[centers],
-        confidence=np.ones(n_frames),
-        voiced=np.ones(n_frames, dtype=bool),
+        f0_hz=labels,
+        confidence=np.ones(len(labels)),
+        voiced=np.ones(len(labels), dtype=bool),
     )
     return buf, truth
 

@@ -67,10 +67,11 @@ class Adam:
 
 
 def extract_segment(buf: AudioBuffer, truth: PitchContour, rng):
-    """Random hop-aligned 0.5 s window centered on a voiced frame of a
-    CANONICAL_SR buffer, drawn from the voiced frames some window can hold.
+    """Random hop-aligned 0.5 s window of a CANONICAL_SR buffer, centred on
+    a usable frame some window can hold: one marked voiced whose F0 is
+    finite and positive.
 
-    Returns (segment samples, target f0 per segment frame, voiced mask).
+    Returns (segment samples, target f0 per segment frame, usable mask).
     """
     seg_len = int(SEGMENT_SECONDS * CANONICAL_SR)
     if len(buf.samples) < seg_len:
@@ -81,16 +82,18 @@ def extract_segment(buf: AudioBuffer, truth: PitchContour, rng):
     if max_start_frame < 0:
         raise SkipExample("truth contour shorter than one training segment",
                           "short")
+    f0 = truth.f0_hz
+    usable = truth.voiced & np.isfinite(f0) & (f0 > 0)
     # a centre past the last segment's end would be clipped out of it
-    voiced_idx = np.flatnonzero(truth.voiced[:max_start_frame + seg_frames])
-    if len(voiced_idx) == 0:
-        raise SkipExample("no voiced frames", "unvoiced")
-    center = int(rng.choice(voiced_idx))
+    usable_idx = np.flatnonzero(usable[:max_start_frame + seg_frames])
+    if len(usable_idx) == 0:
+        raise SkipExample("no voiced frames with a usable F0", "unvoiced")
+    center = int(rng.choice(usable_idx))
     start_frame = int(np.clip(center - seg_frames // 2, 0, max_start_frame))
     s0 = start_frame * HOP
     seg = buf.samples[s0:s0 + seg_len]
     idx = slice(start_frame, start_frame + seg_frames)
-    return seg, truth.f0_hz[idx].copy(), truth.voiced[idx].copy()
+    return seg, f0[idx].copy(), usable[idx]
 
 
 def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
@@ -161,8 +164,8 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                 continue
             f0 = np.stack(f0s)
             mask = np.stack(masks)
-            # frames with no defined pitch get a dummy target outside the loss
-            f0_safe = np.where(mask & np.isfinite(f0), f0, F_MIN_HZ)
+            # frames outside the mask get a dummy target outside the loss
+            f0_safe = np.where(mask, f0, F_MIN_HZ)
             targets = freq_to_bin(f0_safe.reshape(-1))
             # as in analyze: OpenBLAS's own threads would queue behind the
             # network's two, and spin on after the front-end's GEMMs

@@ -13,7 +13,6 @@ import pytest
 from pitchkit import decode, dsp, grid, model as net
 from pitchkit.audio_io import HOP, AudioBuffer
 from pitchkit.decode import DecoderConfig, decode_probs
-from pitchkit.dsp import hann_window
 from pitchkit.losses import loss_total, softmax_rows
 from pitchkit.metrics import (average_reports, evaluate, evaluate_noisy,
                               harmonic_mean, rca, rpa)
@@ -31,40 +30,42 @@ TRAIN_MAX_BLOCKS = 10
 
 # -- criterion 1: spectral front-end vs naive DFT oracle --------------------
 
-def naive_dft():
-    """The (N/2 + 1) x N matrix of the real-input DFT, built term by term."""
+def naive_band_dft():
+    """The rows K_MIN..K_MAX of the real-input DFT matrix, built term by
+    term."""
     n = dsp.WINDOW
-    k = np.arange(n // 2 + 1)
+    k = np.arange(dsp.K_MIN, dsp.K_MAX + 1)
     return np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
 
 
-def naive_stft_magnitude(samples, dft):
-    """O(N^2) reference: the explicit DFT matrix `dft` (from `naive_dft`)
-    times each windowed frame."""
+def naive_log_band_stft(samples, dft):
+    """O(N^2) reference for `batch_spectrogram`: log(|DFT| over the band +
+    LOG_EPSILON) of each Hann-windowed frame, with `dft` from
+    `naive_band_dft`."""
     n, h = dsp.WINDOW, HOP
-    win = hann_window(n)
+    win = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
     t = (len(samples) - n) // h + 1
-    out = np.empty((t, n // 2 + 1))
+    out = np.empty((t, dsp.N_BANDS))
     for m in range(t):
         frame = samples[m * h:m * h + n] * win
-        out[m] = np.abs(dft @ frame)
+        out[m] = np.log(np.abs(dft @ frame) + dsp.LOG_EPSILON)
     return out
 
 
 def test_criterion_01_stft_matches_naive_dft():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
-    dft = naive_dft()
+    dft = naive_band_dft()
     worst = 0.0
     for _ in range(100):
         length = int(rng.integers(1024, 8193))
         x = rng.standard_normal(length)
-        fast = dsp._magnitude(x)  # the framing and FFT of `spectrogram`
-        slow = naive_stft_magnitude(x, dft)
-        denom = np.maximum(np.abs(slow), 1e-30)
-        worst = max(worst, float(np.max(np.abs(fast - slow) / denom)))
+        fast = dsp.batch_spectrogram(x)
+        slow = naive_log_band_stft(x, dft)
+        worst = max(worst, float(np.max(np.abs(fast - slow))))
     elapsed = time.perf_counter() - start
-    assert worst < 1e-6, f"worst relative error {worst:.3e}"
+    # an error e in the log is a relative error of about e in |X|
+    assert worst < 1e-6, f"worst log-magnitude error {worst:.3e}"
     assert elapsed < 10.0, f"oracle comparison took {elapsed:.1f}s"
 
 

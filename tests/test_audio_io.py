@@ -202,6 +202,35 @@ def test_contour_csv_non_finite_time(tmp_path):
         read_contour_csv(path)
 
 
+@pytest.mark.parametrize("voiced", ["2", "-1", "01", " 1", "true", ""])
+def test_contour_csv_voiced_not_0_or_1(tmp_path, voiced):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_sec,f0_hz,confidence,voiced\n"
+                    f"0.000000,220.0,0.9,1\n0.016000,220.0,0.9,{voiced}\n")
+    with pytest.raises(FormatError, match="voiced field in row 3"):
+        read_contour_csv(path)
+
+
+@pytest.mark.parametrize("conf", ["7.5", "-0.1", "1.000001", "nan", "inf",
+                                  "-inf"])
+def test_contour_csv_confidence_outside_unit_interval(tmp_path, conf):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_sec,f0_hz,confidence,voiced\n"
+                    f"0.000000,220.0,0.9,1\n0.016000,220.0,{conf},1\n"
+                    "0.032000,220.0,0.9,1\n")
+    with pytest.raises(FormatError, match="row 3 is not in"):
+        read_contour_csv(path)
+
+
+def test_contour_csv_confidence_ends_of_unit_interval_load(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("time_sec,f0_hz,confidence,voiced\n"
+                    "0.000000,,0.000000,0\n0.016000,220.0,1.000000,1\n")
+    back = read_contour_csv(path)
+    np.testing.assert_array_equal(back.confidence, [0.0, 1.0])
+    np.testing.assert_array_equal(back.voiced, [False, True])
+
+
 @pytest.mark.parametrize("hop", [0.016, 256 / 44100, 160 / 16000, 1 / 3,
                                  0.0123457])
 def test_contour_csv_rounded_times_of_any_hop_load(tmp_path, hop):

@@ -86,8 +86,9 @@ def test_mix_at_snr_zero_noise_passthrough():
 def test_constant_tone_spectral_peak():
     spec = SynthSpec(kind="constant", f0_hz=220.0, n_harmonics=1)
     buf, truth = synth_example(spec)
-    mag = dsp._magnitude(buf.samples)
-    assert int(mag[5].argmax()) == 14  # 220 / 15.625 = 14.08
+    spec = dsp.batch_spectrogram(buf.samples)
+    # 220 / 15.625 = 14.08: FFT bin 14, band column 14 - K_MIN
+    assert int(spec[5].argmax()) == 14 - dsp.K_MIN
     assert np.all(truth.f0_hz == 220.0)
 
 
@@ -128,7 +129,7 @@ def test_truth_frames_match_the_front_end():
     buf, truth = synth_example(spec)
     assert buf.sample_rate_hz == 16000
     assert len(truth) == (len(buf.samples) - 1024) // 256 + 1
-    assert len(truth) == len(dsp._magnitude(buf.samples))
+    assert len(truth) == len(dsp.spectrogram(buf))
     assert truth.hop_seconds == 0.016
     assert truth.times[-1] < spec.duration_s
     with pytest.raises(TypeError):

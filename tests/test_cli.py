@@ -97,6 +97,25 @@ def test_analyze_missing_weights(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_weights_exit_2(workdir, capsys, value):
+    # both ways to run the network on a WAV used to end in `nan` output:
+    # analyze exited 0, eval --noisy averaged no report
+    params = net.init_params(0)
+    params.proj_w[0, 0] = value
+    weights = workdir / "nan.bin"
+    net.save_params(params, weights)
+    out = workdir / "never_pred.csv"
+    rc = main(["analyze", str(workdir / "tone.wav"), str(weights), str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "non-finite logits" in capsys.readouterr().err
+    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
+               "--noisy", "--weights", str(weights)])
+    assert rc == 2
+    assert "non-finite logits" in capsys.readouterr().err
+
+
 def test_analyze_missing_wav(workdir):
     rc = main(["analyze", str(workdir / "nope.wav"),
                str(workdir / "w.bin"), str(workdir / "x.csv")])

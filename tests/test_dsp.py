@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 
 from pitchkit import dsp
-from pitchkit.dsp import band_select, hann_window, log_compress, rfft_radix2
-from pitchkit.errors import ArgumentError, DomainError, InputTooShort, ShapeError
+from pitchkit.audio_io import AudioBuffer
+from pitchkit.baseline import acf_contour
+from pitchkit.dsp import rfft_radix2
+from pitchkit.errors import ArgumentError, InputTooShort
+from pitchkit.synth import SynthSpec, synth_example
+
+
+def hann(n: int) -> np.ndarray:
+    """Periodic Hann window: w[i] = 0.5*(1 - cos(2*pi*i/n))."""
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+
+
+def band_magnitude(spec: np.ndarray) -> np.ndarray:
+    """Undo the front-end's log compression: |X| of the band columns."""
+    return np.exp(spec) - dsp.LOG_EPSILON
 
 
 def naive_dft_magnitude(frame: np.ndarray) -> np.ndarray:
@@ -40,22 +53,16 @@ def test_rfft_rejects_non_power_of_two():
 
 
 def test_hann_endpoints():
-    w = hann_window(1024)
-    assert w[0] == 0.0
-    assert w[512] == 1.0
+    assert dsp.HANN[0] == 0.0
+    assert dsp.HANN[512] == 1.0
 
 
 def test_hann_sum_closed_form():
-    assert abs(hann_window(1024).sum() - 512.0) < 1e-9
-
-
-def test_hann_too_short():
-    with pytest.raises(ArgumentError):
-        hann_window(1)
+    assert abs(dsp.HANN.sum() - 512.0) < 1e-9
 
 
 def test_hann_constant_is_read_only():
-    np.testing.assert_array_equal(dsp.HANN, hann_window(dsp.WINDOW))
+    np.testing.assert_array_equal(dsp.HANN, hann(dsp.WINDOW))
     with pytest.raises(ValueError):
         dsp.HANN[0] = 1.0
 
@@ -66,46 +73,60 @@ def test_config_derived_bins():
     assert dsp.N_BANDS == 132
 
 
+def test_frames_view():
+    x = np.random.default_rng(2).standard_normal(2000)
+    fr = dsp.frames(x)
+    assert fr.shape == (4, 1024)  # (2000 - 1024) // 256 + 1
+    for m in range(4):
+        np.testing.assert_array_equal(fr[m], x[m * 256:m * 256 + 1024])
+    assert np.shares_memory(fr, x) and not fr.flags.writeable
+    batch = np.stack([x, -x])
+    np.testing.assert_array_equal(dsp.frames(batch)[1], -fr)
+
+
 def test_stft_single_frame():
     x = np.random.default_rng(0).standard_normal(1024)
-    assert dsp._magnitude(x).shape == (1, 513)
+    assert dsp.frames(x).shape == (1, 1024)
+    assert dsp.batch_spectrogram(x).shape == (1, 132)
 
 
 def test_stft_zero_signal():
-    mag = dsp._magnitude(np.zeros(4096))
-    assert np.all(mag == 0.0)
+    spec = dsp.batch_spectrogram(np.zeros(4096))
+    assert np.all(spec == np.log(dsp.LOG_EPSILON))
 
 
 def test_stft_too_short():
     with pytest.raises(InputTooShort):
-        dsp._magnitude(np.zeros(512))
+        dsp.frames(np.zeros(1023))
+    with pytest.raises(InputTooShort):
+        dsp.batch_spectrogram(np.zeros(512))
 
 
 def test_stft_sine_peak_and_oracle():
     t = np.arange(1024) / 16000
     x = np.sin(2 * np.pi * 250.0 * t)
-    mag = dsp._magnitude(x)
-    assert mag[0].argmax() == 16
-    oracle = naive_dft_magnitude(x * hann_window(1024))
+    mag = band_magnitude(dsp.batch_spectrogram(x))
+    assert mag[0].argmax() == 13  # FFT bin 16, band column 16 - K_MIN
+    oracle = naive_dft_magnitude(x * hann(1024))[3:135]
     assert np.abs(mag[0] - oracle).max() <= 1e-6 * oracle.max()
 
 
 def test_stft_matches_dft_oracle_random():
     rng = np.random.default_rng(7)
-    w = hann_window(1024)
+    w = hann(1024)
     for _ in range(10):
         n = int(rng.integers(1024, 4097))
         x = rng.standard_normal(n)
-        mag = dsp._magnitude(x)
+        mag = band_magnitude(dsp.batch_spectrogram(x))
         m = int(rng.integers(mag.shape[0]))
-        oracle = naive_dft_magnitude(x[m * 256:m * 256 + 1024] * w)
+        oracle = naive_dft_magnitude(x[m * 256:m * 256 + 1024] * w)[3:135]
         assert np.abs(mag[m] - oracle).max() <= 1e-6 * oracle.max()
 
 
 def test_parseval_per_frame():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(1024)
-    xw = x * hann_window(1024)
+    xw = x * dsp.HANN
     spec = rfft_radix2(xw[None])[0]
     # real-spectrum double counting: interior bins appear twice
     energy = np.abs(spec[0]) ** 2 + np.abs(spec[-1]) ** 2 \
@@ -116,45 +137,26 @@ def test_parseval_per_frame():
 
 def test_deterministic_bits():
     x = np.random.default_rng(5).standard_normal(8000)
-    a = dsp._magnitude(x)
-    b = dsp._magnitude(x)
+    a = dsp.batch_spectrogram(x)
+    b = dsp.batch_spectrogram(x)
     np.testing.assert_array_equal(a, b)
 
 
-def test_band_select_slice():
-    full = np.random.default_rng(0).standard_normal((4, 513)) ** 2
-    out = band_select(full)
-    assert out.shape == (4, 132)
-    np.testing.assert_array_equal(out, full[:, 3:135])
-    assert (513 - 132) / 513 == pytest.approx(0.7427, abs=1e-3)
-    assert 3 * 15.625 == 46.875
+@pytest.mark.parametrize("n", [1024, 1279, 1280, 16000])
+def test_one_frame_grid_for_front_end_acf_and_synth(n):
+    # all three frame with dsp.frames: WINDOW samples, HOP apart, unpadded
+    x = 0.5 * np.sin(2 * np.pi * 220.0 * np.arange(n) / 16000)
+    buf = AudioBuffer(x, 16000)
+    t = (n - 1024) // 256 + 1
+    assert len(dsp.spectrogram(buf)) == t
+    assert len(acf_contour(buf)) == t
+    _, truth = synth_example(SynthSpec(duration_s=n / 16000))
+    assert len(truth) == t
 
 
-def test_band_select_any_leading_shape():
-    full = np.random.default_rng(1).standard_normal((2, 3, 513))
-    out = band_select(full)
-    assert out.shape == (2, 3, 132)
-    np.testing.assert_array_equal(out, full[..., 3:135])
-
-
-def test_band_select_wrong_shape():
-    with pytest.raises(ShapeError):
-        band_select(np.zeros((4, 512)))
-
-
-def test_log_compress_values():
-    out = log_compress(np.array([[0.0, 1.0 - 1e-8]]))
-    assert out[0, 0] == pytest.approx(np.log(1e-8), abs=1e-9)
-    assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_log_compress_negative():
-    with pytest.raises(DomainError):
-        log_compress(np.array([[-0.1]]))
-
-
-def test_log_compress_monotone():
-    rng = np.random.default_rng(11)
-    a = rng.uniform(0, 1, (8, 132))
-    b = a + rng.uniform(1e-6, 1, (8, 132))
-    assert np.all(log_compress(a) < log_compress(b))
+def test_front_end_and_acf_reject_less_than_one_window():
+    buf = AudioBuffer(np.zeros(1023), 16000)
+    with pytest.raises(InputTooShort):
+        dsp.spectrogram(buf)
+    with pytest.raises(InputTooShort):
+        acf_contour(buf)

@@ -161,6 +161,59 @@ def test_extract_segment_uses_truth_up_to_its_end():
     assert mask.all()
 
 
+def voiced_without_pitch(f0_value):
+    """A 1 s clip whose truth marks every frame voiced, with `f0_value` in
+    place of the F0 on frames 0-29 (of 59), and the same truth with those
+    frames unvoiced instead."""
+    from pitchkit.audio_io import PitchContour
+    buf, truth = tiny_corpus(1, seed=8)[0]
+    f0 = truth.f0_hz.copy()
+    f0[:30] = f0_value
+    usable = np.arange(len(f0)) >= 30
+    bad = PitchContour(0.016, f0, np.ones(len(f0)), np.ones(len(f0), bool))
+    clean = PitchContour(0.016, np.where(usable, f0, np.nan),
+                         usable.astype(float), usable)
+    return buf, bad, clean
+
+
+@pytest.mark.parametrize("f0_value", [np.nan, 0.0, -220.0, np.inf])
+def test_extract_segment_masks_voiced_frames_without_pitch(f0_value):
+    # such frames are neither a segment's centre nor inside the loss
+    buf, bad, clean = voiced_without_pitch(f0_value)
+    for seed in range(20):
+        _, f0, mask = extract_segment(buf, bad, np.random.default_rng(seed))
+        _, f0_c, mask_c = extract_segment(buf, clean,
+                                          np.random.default_rng(seed))
+        np.testing.assert_array_equal(mask, mask_c)
+        np.testing.assert_array_equal(f0[mask], f0_c[mask_c])
+        assert np.all(f0[mask] > 0)
+
+
+@pytest.mark.parametrize("f0_value", [np.nan, 0.0])
+def test_extract_segment_skips_voicing_without_pitch(f0_value):
+    from pitchkit.audio_io import PitchContour
+    buf, truth = tiny_corpus(1, seed=8)[0]
+    truth = PitchContour(0.016, np.full(len(truth), f0_value),
+                         np.ones(len(truth)), np.ones(len(truth), bool))
+    with pytest.raises(SkipExample, match="no voiced frames") as err:
+        extract_segment(buf, truth, np.random.default_rng(0))
+    assert err.value.reason == "unvoiced"
+
+
+@pytest.mark.parametrize("f0_value", [np.nan, 0.0])
+def test_voiced_frames_without_pitch_train_like_unvoiced(f0_value):
+    # F0 0 used to raise DomainError mid-training, and an empty F0 trained
+    # the frame toward bin 0 (46.875 Hz)
+    buf, bad, clean = voiced_without_pitch(f0_value)
+    extra = tiny_corpus(1, seed=9)
+    cfg = TrainConfig(seed=4, epochs=2, batch_size=2)
+    p_bad, h_bad = train_loop([(buf, bad)] + extra, cfg)
+    p_clean, h_clean = train_loop([(buf, clean)] + extra, cfg)
+    assert h_bad == h_clean
+    for name, a in p_bad.all_tensors().items():
+        np.testing.assert_array_equal(a, p_clean.all_tensors()[name])
+
+
 # -- training loop ----------------------------------------------------------
 
 def test_empty_corpus_rejected():

@@ -12,7 +12,9 @@ the ones summed up; `--trace` pairs give per-layer metrics only. The JSON
 every pair, so an interrupted session keeps what it measured. The summary
 gives, per workload and end-to-end metric, each side's median and
 quartiles, and how many pairs the change won (by the metric's direction in
-BENCHMARK.json; ties count for neither side).
+BENCHMARK.json; ties count for neither side). A run that exits nonzero,
+prints no result or prints `"correct": false` is left out together with its
+pair, and counted per side under `failed_runs`.
 """
 import argparse
 import json
@@ -43,7 +45,7 @@ def run_one(checkout, workload, seed, seconds, trace):
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    return proc.returncode, result
+    return proc.returncode, result if isinstance(result, dict) else None
 
 
 def host():
@@ -58,17 +60,32 @@ def quartiles(values):
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def succeeded(run):
+    """A run counts when it exited 0 and printed a correct result."""
+    return (run["returncode"] == 0 and run["result"] is not None
+            and run["result"].get("correct") is True)
+
+
 def summary(runs, better):
     """Per workload: each metric's quartiles per side and the change's wins
-    over the untraced pairs in which both sides succeeded."""
+    over the untraced pairs in which both sides succeeded, and the runs of
+    each side that did not."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if not r["trace"]):
         pairs = {}
+        failed = {"parent": 0, "change": 0}
         for r in runs:
-            if r["workload"] == workload and not r["trace"] and r["result"]:
+            if r["workload"] != workload or r["trace"]:
+                continue
+            if succeeded(r):
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+            else:
+                failed[r["side"]] += 1
         pairs = [p for _, p in sorted(pairs.items()) if len(p) == 2]
-        row = {}
+        row = {"pairs": len(pairs), "failed_runs": failed}
+        out[workload] = row
+        if not pairs:
+            continue
         wins = {}
         for metric, direction in better.items():
             sides = {side: [p[side][metric]["value"] for p in pairs]
@@ -78,10 +95,8 @@ def summary(runs, better):
             won = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
             wins[metric] = f"{won}/{len(pairs)}"
         row["change_wins"] = wins
-        row["pairs"] = len(pairs)
         row["setup_s_per_run"] = {side: [p[side]["setup_s"]["value"] for p in pairs]
                                   for side in ("parent", "change")}
-        out[workload] = row
     return out
 
 
