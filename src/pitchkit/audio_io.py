@@ -224,6 +224,9 @@ def read_contour_csv(path) -> PitchContour:
         raise FormatError(f"{path}: first time is {times[0]:.6f} s, not 0")
     if len(times) >= 2:
         hop = times[1] - times[0]
+        if hop <= 0:
+            raise FormatError(f"{path}: time {times[1]:.6f} in row 3 is not "
+                              f"after the first")
         steps = np.diff(times)
         bad = np.flatnonzero(np.abs(steps - hop) > HOP_TOLERANCE_S)
         if len(bad):

@@ -1,5 +1,6 @@
 """Training-time waveform augmentation: random gain, noise mixing at a
-sampled SNR, and clipping to the legal amplitude range.
+sampled SNR, and clipping to the legal amplitude range. `noise_excerpt` is
+the one place a noise signal is cut, for training and for noisy scoring.
 """
 from __future__ import annotations
 
@@ -43,6 +44,16 @@ def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarr
     return signal + noise_gamma(p_sig, p_noise, snr_db) * noise
 
 
+def noise_excerpt(signals, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n samples of one of the non-empty signals, picked at random, from a
+    random start; a signal shorter than n is tiled first."""
+    src = signals[rng.integers(len(signals))]
+    if len(src) < n:
+        src = np.tile(src, int(np.ceil(n / len(src))))
+    start = rng.integers(0, len(src) - n + 1)
+    return src[start:start + n]
+
+
 def augment(samples: np.ndarray, cfg: AugmentConfig,
             rng: np.random.Generator) -> np.ndarray:
     """Gain-scale, mix environmental/Gaussian noise at a random SNR, clamp.
@@ -61,12 +72,8 @@ def augment(samples: np.ndarray, cfg: AugmentConfig,
     n_gauss = rng.standard_normal(len(samples))
     n_bg = np.sqrt(1.0 - alpha) * n_gauss
     if alpha > 0.0:
-        src = cfg.noise_signals[rng.integers(len(cfg.noise_signals))]
-        if len(src) < len(samples):
-            reps = int(np.ceil(len(samples) / len(src)))
-            src = np.tile(src, reps)
-        start = rng.integers(0, len(src) - len(samples) + 1)
-        n_bg = n_bg + np.sqrt(alpha) * src[start:start + len(samples)]
+        n_bg = n_bg + np.sqrt(alpha) * noise_excerpt(cfg.noise_signals,
+                                                     len(samples), rng)
 
     snr_db = rng.uniform(*cfg.snr_db_range)
     mixed = mix_at_snr(scaled, n_bg, snr_db)

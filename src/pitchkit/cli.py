@@ -1,7 +1,8 @@
-"""Command-line front-end: analyze, train, eval, synth, bench, acf.
+"""Command-line front-end: analyze, train, eval, noisy, synth, bench, acf.
 
-Each task has one way in: `eval` scores a contour CSV as it is, or with
---noisy a WAV under noise; a clean WAV is scored by `analyze` then `eval`.
+Each task has one way in: `eval` scores a contour CSV as it is, `noisy`
+scores the model on a WAV under noise, and a clean WAV is scored by
+`analyze` then `eval`.
 
 stdout carries results, stderr carries diagnostics. The subcommands raise;
 `main` alone turns a failure into an exit code through EXIT_CODES: 0 ok,
@@ -41,14 +42,6 @@ EXIT_CODES = (
     (RangeError, 5, "synthesis range error"),
     (PitchkitError, 1, "error"),
 )
-
-
-def _decoder(args) -> DecoderConfig:
-    # --threshold has no default of its own: DecoderConfig holds it, and
-    # `eval` must tell a flag that was given from one that was not
-    if args.threshold is None:
-        return DecoderConfig()
-    return DecoderConfig(voicing_threshold=args.threshold)
 
 
 def _print_report(report: EvalReport, out_csv=None):
@@ -91,7 +84,7 @@ def _save_contour(contour, out):
 
 
 def cmd_analyze(args):
-    dec = _decoder(args)
+    dec = DecoderConfig(voicing_threshold=args.threshold)
     params = net.load_params(args.weights)
     _save_contour(analyze(read_wav(args.wav), params, dec_cfg=dec), args.out)
 
@@ -142,36 +135,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    is_wav = Path(args.pred).suffix.lower() == ".wav"
-    if args.noisy:
-        if not is_wav:
-            raise ArgumentError("--noisy mixes noise into audio: the "
-                                "prediction must be a WAV")
-        if args.weights is None:
-            raise ArgumentError("--noisy needs --weights")
-    elif is_wav:
-        raise ArgumentError("eval scores a WAV only with --noisy; for a clean "
-                            "score run `pitchkit analyze` first and evaluate "
-                            "its contour CSV")
-    else:
-        given = [flag for flag, value in (
-            ("--weights", args.weights), ("--threshold", args.threshold),
-            ("--snr", args.snr), ("--noise", args.noise),
-            ("--seed", args.seed))
-            if value is not None]
-        if given:
-            raise ArgumentError(f"{', '.join(given)} need --noisy")
     truth = read_contour_csv(args.truth)
-    if args.noisy:
-        params, dec = net.load_params(args.weights), _decoder(args)
-        report = evaluate_noisy(
-            lambda buf: analyze(buf, params, dec),
-            [(read_wav(args.pred), truth)],
-            snr_db=10.0 if args.snr is None else args.snr,
-            seed=0 if args.seed is None else args.seed,
-            noise_signals=_load_noise(args.noise))
-    else:
-        report = evaluate(read_contour_csv(args.pred), truth)
+    _print_report(evaluate(read_contour_csv(args.pred), truth), args.out_csv)
+
+
+def cmd_noisy(args):
+    truth = read_contour_csv(args.truth)
+    params = net.load_params(args.weights)
+    dec = DecoderConfig(voicing_threshold=args.threshold)
+    report = evaluate_noisy(
+        lambda buf: analyze(buf, params, dec),
+        [(read_wav(args.wav), truth)], snr_db=args.snr, seed=args.seed,
+        noise_signals=_load_noise(args.noise))
     _print_report(report, args.out_csv)
 
 
@@ -239,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("weights")
     p.add_argument("out")
-    p.add_argument("--threshold", type=float, help="voicing threshold")
+    p.add_argument("--threshold", type=float,
+                   default=DecoderConfig.voicing_threshold,
+                   help="voicing threshold")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train on a wav,csv manifest")
@@ -254,19 +231,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a prediction against ground truth")
-    p.add_argument("pred", help="contour CSV, or with --noisy a WAV")
+    p = sub.add_parser("eval", help="score a contour CSV against ground truth")
+    p.add_argument("pred", help="predicted contour CSV")
     p.add_argument("truth")
-    p.add_argument("--weights", help="model weights (needs --noisy)")
-    p.add_argument("--noisy", action="store_true",
-                   help="score the WAV with noise mixed in (default 10 dB SNR)")
-    p.add_argument("--noise", help="directory of noise WAVs (needs --noisy)")
-    p.add_argument("--snr", type=float, help="SNR in dB (needs --noisy)")
     p.add_argument("--out-csv")
-    p.add_argument("--seed", type=int, help="noise seed (needs --noisy)")
-    p.add_argument("--threshold", type=float,
-                   help="voicing threshold (needs --noisy)")
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("noisy", help="score the model on a WAV under noise")
+    p.add_argument("wav")
+    p.add_argument("weights")
+    p.add_argument("truth")
+    p.add_argument("--snr", type=float, default=10.0, help="SNR in dB")
+    p.add_argument("--noise", help="directory of noise WAVs")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
+    p.add_argument("--threshold", type=float,
+                   default=DecoderConfig.voicing_threshold,
+                   help="voicing threshold")
+    p.add_argument("--out-csv")
+    p.set_defaults(func=cmd_noisy)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("out")

@@ -9,7 +9,7 @@ class FormatError(PitchkitError):
     """File contents do not match the expected on-disk format."""
 
 
-class UnsupportedError(PitchkitError):
+class UnsupportedError(FormatError):
     """Input is valid but outside what we deliberately support (e.g. multichannel)."""
 
 

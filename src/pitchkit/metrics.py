@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio_io import AudioBuffer, PitchContour
-from .augment import mix_at_snr
+from .augment import mix_at_snr, noise_excerpt
 from .errors import (AlignmentError, ArgumentError, SkipExample,
                      UndefinedMetric)
 from .grid import cents_error
@@ -51,17 +51,19 @@ class EvalReport:
 
 def align(pred: PitchContour, truth: PitchContour) -> AlignedFrames:
     """Pair frame i with frame i; extra tail frames on either side drop. A
-    predicted F0 that is no positive finite frequency counts as absent."""
+    predicted F0 that is no positive finite frequency counts as absent, and
+    a truth frame counts as voiced only when its F0 is one."""
     if abs(pred.hop_seconds - truth.hop_seconds) > HOP_MATCH_S:
         raise AlignmentError(
             f"hop mismatch: {pred.hop_seconds} vs {truth.hop_seconds}")
     n = min(len(pred), len(truth))
     f_pred = pred.f0_hz[:n].copy()
     f_pred[~(np.isfinite(f_pred) & (f_pred > 0.0))] = np.nan
+    f_true = truth.f0_hz[:n].copy()
     return AlignedFrames(
-        f_true=truth.f0_hz[:n].copy(),
+        f_true=f_true,
         f_pred=f_pred,
-        voiced_true=truth.voiced[:n].copy(),
+        voiced_true=truth.voiced[:n] & np.isfinite(f_true) & (f_true > 0.0),
         voiced_pred=pred.voiced[:n].copy(),
     )
 
@@ -184,19 +186,20 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
     non-empty arrays; Gaussian noise is used when the list is empty. A file
     is skipped when it is silent or when its metrics are undefined (e.g. no
     frame predicted voiced); UndefinedMetric is raised only when every file
-    was skipped. A negative seed raises ArgumentError.
+    was skipped. A negative seed or a non-finite snr_db raises
+    ArgumentError.
     """
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
+    if not np.isfinite(snr_db):
+        raise ArgumentError(f"snr_db must be finite, got {snr_db}")
     if noise_signals and any(len(src) == 0 for src in noise_signals):
         raise ArgumentError("a noise signal has no samples")
     rng = np.random.default_rng(seed)
     reports = []
     for buf, truth in corpus:
         if noise_signals:
-            src = noise_signals[rng.integers(len(noise_signals))]
-            reps = int(np.ceil(len(buf.samples) / len(src)))
-            noise = np.tile(src, reps)[:len(buf.samples)]
+            noise = noise_excerpt(noise_signals, len(buf.samples), rng)
         else:
             noise = rng.standard_normal(len(buf.samples))
         try:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pitchkit.augment import AugmentConfig, augment, mix_at_snr, noise_gamma
+from pitchkit.augment import (AugmentConfig, augment, mix_at_snr, noise_excerpt,
+                              noise_gamma)
 from pitchkit import dsp
 from pitchkit.errors import ArgumentError, RangeError, SkipExample
 from pitchkit.synth import SynthSpec, f0_trajectory, random_spec, synth_example
@@ -57,6 +58,26 @@ def test_environmental_mixing_uses_sources():
                         noise_signals=[tone])
     outs = [augment(x, cfg, rng) for _ in range(10)]
     assert any(np.std(o) > 0.01 for o in outs)
+
+
+def test_noise_excerpt_cuts_n_samples():
+    long_src = np.arange(1000.0)
+    for seed in range(20):
+        out = noise_excerpt([long_src], 300, np.random.default_rng(seed))
+        assert len(out) == 300
+        # a contiguous run of the source from a start in [0, len - n]
+        assert 0 <= out[0] <= 700
+        np.testing.assert_array_equal(out, np.arange(out[0], out[0] + 300))
+    short_src = np.arange(7.0)
+    out = noise_excerpt([short_src], 50, np.random.default_rng(0))
+    assert len(out) == 50
+    # tiled, then cut from a start in [0, 56 - 50]
+    start = int(out[0])
+    assert 0 <= start <= 6
+    np.testing.assert_array_equal(out, np.tile(short_src, 8)[start:start + 50])
+    a, b = [noise_excerpt([long_src, short_src], 40, np.random.default_rng(9))
+            for _ in range(2)]
+    np.testing.assert_array_equal(a, b)
 
 
 def test_gaussian_fallback_without_sources():

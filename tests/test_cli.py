@@ -100,7 +100,7 @@ def test_analyze_missing_weights(workdir):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_weights_exit_2(workdir, capsys, value):
     # both ways to run the network on a WAV used to end in `nan` output:
-    # analyze exited 0, eval --noisy averaged no report
+    # analyze exited 0, the noisy score averaged no report
     params = net.init_params(0)
     params.proj_w[0, 0] = value
     weights = workdir / "nan.bin"
@@ -110,8 +110,8 @@ def test_non_finite_weights_exit_2(workdir, capsys, value):
     assert rc == 2
     assert not out.exists()
     assert "non-finite logits" in capsys.readouterr().err
-    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
-               "--noisy", "--weights", str(weights)])
+    rc = main(["noisy", str(workdir / "tone.wav"), str(weights),
+               str(workdir / "tone.csv")])
     assert rc == 2
     assert "non-finite logits" in capsys.readouterr().err
 
@@ -227,7 +227,7 @@ def noise_dirs(workdir):
 
 @pytest.mark.parametrize("case", ["does not exist", "holds no *.wav",
                                   "has no samples"])
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "noisy"])
 def test_unusable_noise_dir_exits_1(workdir, tone_manifest, noise_dirs,
                                     capsys, case, command):
     noise = ["--noise", str(noise_dirs[case])]
@@ -236,9 +236,8 @@ def test_unusable_noise_dir_exits_1(workdir, tone_manifest, noise_dirs,
         args = ["train", str(tone_manifest), str(out), "--epochs", "1"]
     else:
         out = workdir / "never_report.csv"
-        args = ["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
-                "--weights", str(workdir / "w.bin"), "--noisy",
-                "--out-csv", str(out)]
+        args = ["noisy", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+                str(workdir / "tone.csv"), "--out-csv", str(out)]
     assert main(args + noise) == 1
     assert not out.exists()
     assert case in capsys.readouterr().err
@@ -319,29 +318,28 @@ def test_eval_late_start_contour_rejected(workdir, capsys):
 
 @pytest.mark.parametrize("flags", [["--noisy"], ["--snr", "5"],
                                    ["--noise", "noise_dir"], ["--seed", "9"]])
-def test_eval_noise_flags_rejected_for_csv(workdir, capsys, flags):
-    rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
-              + flags)
-    assert rc == 1
-    assert "--noisy" in capsys.readouterr().err
+def test_eval_noise_flags_rejected_for_csv(workdir, flags):
+    # noise belongs to `noisy`; on `eval` its flags are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
+             + flags)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("flags", [["--weights", "nothing.bin"],
                                    ["--threshold", "0"],
                                    ["--threshold", "0.5"]])
-def test_eval_decoder_flags_rejected_for_csv(workdir, capsys, flags):
-    # a contour CSV is scored as it is: no weights, no decoding; a threshold
-    # of 0 is given too, though it is falsy
-    rc = main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
-              + flags)
-    assert rc == 1
-    assert f"{flags[0]} need --noisy" in capsys.readouterr().err
+def test_eval_decoder_flags_rejected_for_csv(workdir, flags):
+    # a contour CSV is scored as it is: no weights, no decoding
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(workdir / "tone.csv"), str(workdir / "tone.csv")]
+             + flags)
+    assert exc.value.code == 2
 
 
 def test_eval_noisy_wav_takes_seed(workdir, capsys):
-    args = ["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
-            "--weights", str(workdir / "w.bin"), "--threshold", "0.0",
-            "--noisy", "--snr", "5"]
+    args = ["noisy", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+            str(workdir / "tone.csv"), "--threshold", "0.0", "--snr", "5"]
     reports = []
     for seed in ([], ["--seed", "0"]):
         assert main(args + seed) == 0
@@ -355,8 +353,8 @@ def test_eval_noisy_foreign_hop_exits_4(workdir, capsys):
     truth = workdir / "hop10.csv"
     rows = "".join(f"{i * 0.01:.6f},220.000000,1.000000,1\n" for i in range(100))
     truth.write_text("time_sec,f0_hz,confidence,voiced\n" + rows)
-    rc = main(["eval", str(workdir / "tone.wav"), str(truth), "--noisy",
-               "--weights", str(workdir / "w.bin"), "--threshold", "0.0"])
+    rc = main(["noisy", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+               str(truth), "--threshold", "0.0"])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("alignment failure: ") and "Traceback" not in err
@@ -364,18 +362,33 @@ def test_eval_noisy_foreign_hop_exits_4(workdir, capsys):
 
 def test_eval_noisy_negative_seed_exits_1(workdir, capsys):
     out = workdir / "never_report.csv"
-    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
-               "--weights", str(workdir / "w.bin"), "--noisy", "--seed", "-1",
+    rc = main(["noisy", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+               str(workdir / "tone.csv"), "--seed", "-1",
                "--out-csv", str(out)])
     assert rc == 1
     assert not out.exists()
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
-def test_eval_clean_wav_points_to_analyze(workdir, capsys):
-    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv")])
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_noisy_non_finite_snr_exits_1(workdir, capsys, snr):
+    # refused as an argument, not blamed on the audio; inf would score clean
+    out = workdir / "never_report.csv"
+    rc = main(["noisy", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+               str(workdir / "tone.csv"), f"--snr={snr}", "--threshold", "0",
+               "--out-csv", str(out)])
     assert rc == 1
-    assert "pitchkit analyze" in capsys.readouterr().err
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "snr_db must be finite" in err and "Traceback" not in err
+
+
+def test_eval_wav_exits_2(workdir, capsys):
+    # eval reads contour CSVs only; a WAV is an unreadable one
+    wav = workdir / "tone.wav"
+    assert main(["eval", str(wav), str(workdir / "tone.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(wav) in err
 
 
 def test_eval_untrained_voicing_undefined(workdir):
@@ -386,11 +399,12 @@ def test_eval_untrained_voicing_undefined(workdir):
     assert main(["eval", str(pred), str(workdir / "tone.csv")]) == 1
 
 
-def test_eval_wav_without_weights(workdir, capsys):
-    rc = main(["eval", str(workdir / "tone.wav"), str(workdir / "tone.csv"),
-               "--noisy"])
-    assert rc == 1
-    assert "--noisy needs --weights" in capsys.readouterr().err
+def test_eval_wav_without_weights(workdir):
+    # `noisy` takes the weights as a positional: leaving them out is a
+    # usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["noisy", str(workdir / "tone.wav"), str(workdir / "tone.csv")])
+    assert exc.value.code == 2
 
 
 def test_bench_reports_rtf(workdir, capsys):
@@ -431,8 +445,8 @@ def test_cli_offers_only_honoured_options(workdir):
         "analyze": {"--threshold"},
         "train": {"--epochs", "--batch", "--lr", "--lam", "--noise",
                   "--loss-csv", "--seed"},
-        "eval": {"--weights", "--noisy", "--noise", "--snr", "--out-csv",
-                 "--seed", "--threshold"},
+        "eval": {"--out-csv"},
+        "noisy": {"--snr", "--noise", "--seed", "--threshold", "--out-csv"},
         "synth": {"--count", "--duration", "--f-low", "--f-high", "--seed"},
         "bench": {"--repeats"},
         "acf": set(),
@@ -454,6 +468,17 @@ def test_readme_cli_table_lists_parser_flags():
     assert table == _parser_options()
 
 
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S)
+    text = re.sub(r"#.*", "", block.group(1)).replace("\\\n", " ")
+    commands = [line.split()[1:] for line in text.splitlines()
+                if line.split()[:1] == ["pitchkit"]]
+    assert {argv[0] for argv in commands} == set(_parser_options())
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
 def test_readme_exit_codes_match_main():
     readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
     sentence = re.search(r"^Exit codes: (.*?)\.\s", readme, re.M | re.S)
@@ -469,6 +494,43 @@ def test_invalid_input_file_exits_2(workdir, capsys):
     assert main(["acf", str(bad), str(workdir / "o.csv")]) == 2
     assert not (workdir / "o.csv").exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _wav_header_file(path, channels, bits, n_frames=2048):
+    """A PCM WAV of silence with the given channel count and sample width."""
+    import struct
+    block_align = channels * bits // 8
+    payload = bytes(n_frames * block_align)
+    path.write_bytes(
+        b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+        + b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, 16000,
+                                16000 * block_align, block_align, bits)
+        + b"data" + struct.pack("<I", len(payload)) + payload)
+    return path
+
+
+@pytest.mark.parametrize("channels, bits", [(2, 16), (1, 24)])
+@pytest.mark.parametrize("command", ["analyze", "acf"])
+def test_unsupported_wav_exits_2(workdir, capsys, command, channels, bits):
+    wav = _wav_header_file(workdir / f"c{channels}b{bits}.wav", channels, bits)
+    out = workdir / "never_unsupported.csv"
+    args = {"analyze": ["analyze", str(wav), str(workdir / "w.bin"), str(out)],
+            "acf": ["acf", str(wav), str(out)]}
+    assert main(args[command]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("second", ["0.000000", "-0.016000"])
+def test_eval_non_increasing_times_exit_2(workdir, capsys, second):
+    pred = workdir / "stuck.csv"
+    pred.write_text("time_sec,f0_hz,confidence,voiced\n"
+                    "0.000000,220.000000,1.000000,1\n"
+                    f"{second},220.000000,1.000000,1\n")
+    assert main(["eval", str(pred), str(workdir / "tone.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 3" in err
 
 
 def test_acf_baseline_on_tone(workdir):

@@ -335,6 +335,23 @@ def test_align_non_positive_or_infinite_prediction_is_absent():
     np.testing.assert_array_equal(a.voiced_pred, [1, 1, 1, 0, 1])
 
 
+@pytest.mark.parametrize("bad_f0", [0.0, np.nan])
+def test_voiced_truth_frame_without_f0_scores_as_unvoiced(bad_f0):
+    # a truth frame marked voiced with no usable F0 once failed scoring
+    # (0: "frequencies must be positive") or scored as a miss (empty F0)
+    # the prediction is the clean truth; one voiced truth frame loses its F0
+    _, pred = synth_example(random_spec(np.random.default_rng(3)))
+    f0 = pred.f0_hz.copy()
+    i = int(np.flatnonzero(pred.voiced)[0])
+    f0[i] = bad_f0
+    marked = PitchContour(pred.hop_seconds, f0, pred.confidence, pred.voiced)
+    unvoiced = PitchContour(pred.hop_seconds, f0, pred.confidence,
+                            pred.voiced & (np.arange(len(pred)) != i))
+    report = evaluate(pred, marked)
+    assert report == evaluate(pred, unvoiced)
+    assert report.rpa == 1.0 and report.gea == 1.0
+
+
 def test_acf_non_positive_f0_scores_as_absent():
     # the autocorrelation baseline marks frames of this glide voiced with an
     # F0 <= 0; they score as absent predictions instead of aborting
