@@ -338,8 +338,8 @@ def test_align_non_positive_or_infinite_prediction_is_absent():
 @pytest.mark.parametrize("bad_f0", [0.0, np.nan])
 def test_voiced_truth_frame_without_f0_scores_as_unvoiced(bad_f0):
     # a truth frame marked voiced with no usable F0 once failed scoring
-    # (0: "frequencies must be positive") or scored as a miss (empty F0)
-    # the prediction is the clean truth; one voiced truth frame loses its F0
+    # (0: "frequencies must be positive") or scored as a miss (empty F0);
+    # the prediction is the clean truth
     _, pred = synth_example(random_spec(np.random.default_rng(3)))
     f0 = pred.f0_hz.copy()
     i = int(np.flatnonzero(pred.voiced)[0])
