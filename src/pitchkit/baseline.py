@@ -13,10 +13,11 @@ inverse transform is needed at the 338 lags LAG_MIN - 1..LAG_MAX + 1 only,
 so it is one GEMM of the power spectra with a read-only cosine matrix.
 
 The frames run in blocks of BLOCK, each on its own from framing to
-voicing, so no (frames, lags) array of the whole signal is built. The
-blocks run on the calling thread and the network's worker
-(`model.run_blocks`); the partition depends only on the frame count, so the
-output does not depend on the number of threads.
+voicing, so no (frames, lags) array of the whole signal is built.
+`model.run_blocks` maps the block starts on the calling thread and the
+network's worker, and each block writes its own frames of the output; the
+partition depends only on the frame count, so the output does not depend on
+the number of threads.
 """
 from __future__ import annotations
 
@@ -71,7 +72,8 @@ def acf_contour(buf: AudioBuffer) -> PitchContour:
     conf = np.zeros(t)
     lag_matrix = _lag_matrix()
 
-    def run_block(lo, hi):
+    def run_block(lo):
+        hi = min(lo + BLOCK, t)
         padded = np.zeros((hi - lo, FFT_SIZE))
         block = padded[:, :WINDOW]
         block[...] = framed[lo:hi]
@@ -92,7 +94,6 @@ def acf_contour(buf: AudioBuffer) -> PitchContour:
         f0[lo + live] = CANONICAL_SR / (LAG_MIN + rel + shift)
         conf[lo + live] = np.clip(b, 0.0, 1.0)
 
-    run_blocks(((lo, min(lo + BLOCK, t)) for lo in range(0, t, BLOCK)),
-               run_block)
+    run_blocks(range(0, t, BLOCK), run_block)
     return PitchContour(hop_seconds=HOP_SECONDS, f0_hz=f0, confidence=conf,
                         voiced=conf >= VOICING)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio_io import AudioBuffer, PitchContour
+from .audio_io import (CANONICAL_SR, AudioBuffer, PitchContour,
+                       resample_linear)
 from .augment import mix_at_snr, noise_excerpt
 from .errors import (AlignmentError, ArgumentError, SkipExample,
                      UndefinedMetric)
@@ -182,12 +183,13 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
     """Mix noise into each clean file at exactly snr_db, estimate, average.
 
     estimator: AudioBuffer -> PitchContour. corpus: iterable of
-    (AudioBuffer, truth PitchContour). noise_signals: optional list of
-    non-empty arrays; Gaussian noise is used when the list is empty. A file
-    is skipped when it is silent or when its metrics are undefined (e.g. no
-    frame predicted voiced); UndefinedMetric is raised only when every file
-    was skipped. A negative seed or a non-finite snr_db raises
-    ArgumentError.
+    (AudioBuffer, truth PitchContour); each file is resampled to
+    CANONICAL_SR before the noise is mixed in. noise_signals: optional list
+    of non-empty arrays of samples at CANONICAL_SR; Gaussian noise is used
+    when the list is empty. A file is skipped when it is silent or when its
+    metrics are undefined (e.g. no frame predicted voiced); UndefinedMetric
+    is raised only when every file was skipped. A negative seed or a
+    non-finite snr_db raises ArgumentError.
     """
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
@@ -198,6 +200,7 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
     rng = np.random.default_rng(seed)
     reports = []
     for buf, truth in corpus:
+        buf = resample_linear(buf, CANONICAL_SR)
         if noise_signals:
             noise = noise_excerpt(noise_signals, len(buf.samples), rng)
         else:

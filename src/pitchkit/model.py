@@ -25,23 +25,25 @@ Flattened to rows of channels, tap (i, j) is then a GEMM of the gradient
 rows with the input rows i*(f+4) + j further on, both contiguous views,
 taken in blocks of ROW_BLOCK rows so that both operands stay in cache across
 the 25 taps. With one output channel (layer 4) dw is a single GEMM of the
-padded input with the 25 shifted copies of the gradient. Train-mode batch
-norm centres its input once into x_hat, takes the variance from it and
-scales it in place; its backward takes the two channel sums it needs (which
-are also the beta and gamma gradients) and forms dx in one new array.
+padded input with the 25 shifted copies of the gradient. Every kernel
+returns its output in C order: batch norm's channel sums depend on the
+memory layout of what they sum, so a transposed view would change them.
 
-Train mode runs on two CPUs too. A training step splits its batch into two
-fixed halves, [0, B//2) and [B//2, B) (one block when B = 1), and every
-full-size pass of every layer, forward and backward, runs once per half
-through `run_blocks`: the conv, the ReLU (backward: its mask) and each
-batch-norm pass (the sum, centring with the sum of squares, scale and
-shift; backward: the s1/s2 sums, dx). Batch norm's statistics span the
-whole batch, so each of its sums is taken per half and the calling thread
-adds the halves' parts in half order; a kernel gradient dw is likewise the
-first half's plus the second's. The halves depend only on B, so the result
-is bit for bit the same whether one thread or two run them. The ReLU mask
-is not stored: the gradient passes where the ReLU's output, the next
-layer's input, is > 0.
+Train mode holds every activation and gradient as the list of its two batch
+halves, [0, B//2) and [B//2, B) (one half when B = 1), and runs every
+full-size pass of every layer, forward and backward, once per half through
+`run_blocks`, which returns the halves' results in half order. Forward, a
+half's conv output is batch norm's input, and batch norm centres and scales
+it in place into its x_hat, then forms y, which the ReLU clips in place.
+Backward, batch norm takes the s1/s2 channel sums it needs (which are also
+the beta and gamma gradients) and forms dx per half; the conv's dx, masked
+in place by the ReLU, is the next layer's gradient. The ReLU mask is not
+stored: the gradient passes where the ReLU's output, the next layer's input,
+is > 0. Batch norm's statistics span the whole batch, so each of its sums is
+taken per half and the calling thread adds the halves' parts in half order;
+a kernel gradient dw is likewise the first half's plus the second's. The
+halves depend only on B, so the result is bit for bit the same whether one
+thread or two run them.
 
 Eval mode folds each batch norm into its conv kernel and a bias once per
 call, so a layer is conv -> ReLU. `forward` cuts a spectrogram into
@@ -187,7 +189,9 @@ def _conv_im2col(x, w, bias):
                                   axis=(1, 2))        # (b, t, f, 5, 5)
     # kernel on the left: with the (positions, 25) patches on the left,
     # peak RSS over inputs of varying length grew by about 20 MB
-    out = (w.reshape(len(w), -1) @ patches.reshape(-1, KERNEL * KERNEL).T).T
+    # C order: batch norm's channel sums depend on the memory layout
+    out = np.ascontiguousarray(
+        (w.reshape(len(w), -1) @ patches.reshape(-1, KERNEL * KERNEL).T).T)
     out += bias
     return out.reshape(b, t, f, len(w))
 
@@ -263,81 +267,74 @@ def _conv_backward(x, w, d_out):
     return dx, dw
 
 
-def _on_halves(b, run):
-    """run(lo, hi) through `run_blocks` on the batch halves [0, b//2) and
-    [b//2, b) of a training step, or on one block when b = 1; the results
-    in half order. The split depends only on b, never on how many threads
+def _halves(x):
+    """Views of the batch halves x[:b//2] and x[b//2:] of a training step, or
+    [x] when b = 1. The split depends only on b, never on how many threads
     run it."""
-    halves = [(0, b)] if b < 2 else [(0, b // 2), (b // 2, b)]
-    out = {}
-
-    def one(lo, hi):
-        out[lo] = run(lo, hi)
-
-    run_blocks(halves, one)
-    return [out[lo] for lo, _ in halves]
+    b = len(x)
+    return [x] if b < 2 else [x[:b // 2], x[b // 2:]]
 
 
-def _bn_forward(x, gamma, beta, run_mean, run_var):
-    """Train-mode batch norm over all but the channel axis, which also moves
-    the running statistics BN_MOMENTUM of the way to the batch's; returns
-    (y, (x_hat, inv_std)). x is left as it is: x_hat is centred into a new
-    array, then scaled in place. Each pass over the data runs per batch
-    half; the calling thread adds the halves' channel sums in half order."""
-    c = x.shape[-1]
-    n = x.size // c
-    mean = sum(_on_halves(
-        len(x), lambda lo, hi: x[lo:hi].sum(axis=(0, 1, 2)))) / n
-    x_hat = np.empty_like(x)
+def _bn_forward(xs, gamma, beta, run_mean, run_var):
+    """Train-mode batch norm of the batch halves xs over all but the channel
+    axis, which also moves the running statistics BN_MOMENTUM of the way to
+    the batch's; returns (y halves, (x_hat halves, inv_std)). Each half is
+    centred and scaled in place, so it becomes its x_hat. Each pass over the
+    data runs per half; the calling thread adds the halves' channel sums in
+    half order."""
+    c = xs[0].shape[-1]
+    n = sum(x.size for x in xs) // c
+    mean = sum(run_blocks(xs, lambda x: x.sum(axis=(0, 1, 2)))) / n
 
-    def centre(lo, hi):
-        flat = np.subtract(x[lo:hi], mean, out=x_hat[lo:hi]).reshape(-1, c)
+    def centre(x):
+        x -= mean
+        flat = x.reshape(-1, c)
         return np.einsum("nc,nc->c", flat, flat)
 
-    var = sum(_on_halves(len(x), centre)) / n
+    var = sum(run_blocks(xs, centre)) / n
     run_mean *= 1.0 - BN_MOMENTUM
     run_mean += BN_MOMENTUM * mean
     run_var *= 1.0 - BN_MOMENTUM
     run_var += BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    y = np.empty_like(x)
 
-    def scale(lo, hi):
-        half = x_hat[lo:hi]
-        half *= inv_std
-        np.multiply(half, gamma, out=y[lo:hi])
-        y[lo:hi] += beta
+    def scale(x):
+        x *= inv_std
+        y = x * gamma
+        y += beta
+        return y
 
-    _on_halves(len(x), scale)
-    return y, (x_hat, inv_std)
+    return run_blocks(xs, scale), (xs, inv_std)
 
 
-def _bn_backward(d_out, x_hat, inv_std, gamma):
-    """dx = gamma * inv_std * (d - s1/n - x_hat * s2/n) with the channel sums
-    s1 = sum d (the beta gradient) and s2 = sum d * x_hat (the gamma
-    gradient), in one new array. The sums and dx run per batch half; the
-    calling thread adds the halves' sums in half order."""
-    c = d_out.shape[-1]
-    n = d_out.size // c
+def _bn_backward(d_outs, x_hats, inv_std, gamma):
+    """dx = gamma * inv_std * (d - s1/n - x_hat * s2/n) of the batch halves,
+    with the channel sums s1 = sum d (the beta gradient) and s2 = sum
+    d * x_hat (the gamma gradient); returns (dx halves, s2, s1). The sums and
+    dx run per half; the calling thread adds the halves' sums in half
+    order."""
+    c = d_outs[0].shape[-1]
+    n = sum(d.size for d in d_outs) // c
+    halves = list(zip(d_outs, x_hats))
 
-    def sums(lo, hi):
-        d = d_out[lo:hi]
+    def sums(half):
+        d, x_hat = half
         return d.sum(axis=(0, 1, 2)), np.einsum(
-            "nc,nc->c", d.reshape(-1, c), x_hat[lo:hi].reshape(-1, c))
+            "nc,nc->c", d.reshape(-1, c), x_hat.reshape(-1, c))
 
-    parts = _on_halves(len(d_out), sums)
+    parts = run_blocks(halves, sums)
     s1 = sum(s for s, _ in parts)
     s2 = sum(s for _, s in parts)
-    dx = np.empty_like(d_out)
 
-    def grad(lo, hi):
-        half = np.multiply(x_hat[lo:hi], -s2 / n, out=dx[lo:hi])
-        half += d_out[lo:hi]
-        half -= s1 / n
-        half *= gamma * inv_std
+    def grad(half):
+        d, x_hat = half
+        dx = np.multiply(x_hat, -s2 / n)
+        dx += d
+        dx -= s1 / n
+        dx *= gamma * inv_std
+        return dx
 
-    _on_halves(len(d_out), grad)
-    return dx, s2, s1
+    return run_blocks(halves, grad), s2, s1
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +373,17 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False):
     if not train:
         logits, feat = _eval_logits(p, _fold(p), x)
         return logits, {"train": False, "feat": feat}
-    b = len(x)
     layers = []
-    h = x[..., None]  # (B, T, F, 1)
+    h = _halves(x[..., None])  # (B, T, F, 1) as its batch halves
     for i, w in enumerate(p.conv_w):
         zero = np.zeros(len(w), dtype=p.dtype)
-        z = np.empty(h.shape[:3] + (len(w),), dtype=p.dtype)
-
-        def conv(lo, hi):
-            z[lo:hi] = _conv_forward(h[lo:hi], w, zero)
-
-        _on_halves(b, conv)
+        z = run_blocks(h, lambda half: _conv_forward(half, w, zero))
         y, (x_hat, inv_std) = _bn_forward(
             z, p.bn_gamma[i], p.bn_beta[i], p.bn_mean[i], p.bn_var[i])
-        del z
-        _on_halves(b, lambda lo, hi: np.maximum(y[lo:hi], 0.0, out=y[lo:hi]))
+        run_blocks(y, lambda half: np.maximum(half, 0.0, out=half))
         layers.append((h, x_hat, inv_std))
         h = y
-    feat = h[..., 0]  # (B, T, F)
+    feat = np.concatenate(h)[..., 0]  # (B, T, F)
     logits = feat @ p.proj_w.T + p.proj_b
     return logits, {"train": True, "layers": layers, "feat": feat}
 
@@ -409,27 +399,28 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
     if len(cache["layers"]) != len(p.conv_w):
         raise StateError("cache does not match this parameter set")
     d_logits = np.asarray(d_logits, dtype=p.dtype)
-    b = len(d_logits)
     feat = cache["feat"]
     grads = {}
     d_flat = d_logits.reshape(-1, N_BINS)
     grads["proj.weight"] = d_flat.T @ feat.reshape(-1, N_BANDS)
     grads["proj.bias"] = d_flat.sum(axis=0)
-    d_y = np.multiply(d_logits @ p.proj_w, feat > 0.0)[..., None]
+    d_y = _halves(np.multiply(d_logits @ p.proj_w, feat > 0.0)[..., None])
     for i in reversed(range(len(p.conv_w))):
         layer_in, x_hat, inv_std = cache["layers"][i]
         d_z, d_gamma, d_beta = _bn_backward(d_y, x_hat, inv_std, p.bn_gamma[i])
-        # the gradient of the layer below's output, through its ReLU
-        d_y = None if i == 0 else np.empty_like(layer_in)
+        del d_y  # freed before the conv makes the next one
 
-        def conv(lo, hi):
-            x = layer_in[lo:hi]
-            dx, dw = _conv_backward(x, p.conv_w[i], d_z[lo:hi])
+        def conv(half):
+            # dx becomes the gradient of the layer below's output, through
+            # its ReLU; it is None for layer 0
+            x, d = half
+            dx, dw = _conv_backward(x, p.conv_w[i], d)
             if dx is not None:
-                np.multiply(dx, x > 0.0, out=d_y[lo:hi])
-            return dw
+                dx *= x > 0.0
+            return dx, dw
 
-        grads[f"conv{i}.weight"] = sum(_on_halves(b, conv))
+        d_y, dw = zip(*run_blocks(zip(layer_in, d_z), conv))
+        grads[f"conv{i}.weight"] = sum(dw)
         grads[f"bn{i}.gamma"] = d_gamma
         grads[f"bn{i}.beta"] = d_beta
     return grads
@@ -438,7 +429,9 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
 def forward(p: ModelParams, values: np.ndarray) -> np.ndarray:
     """Eval-mode logits (T, 200) of one (T, 132) spectrogram, run in blocks
     of at most BLOCK frames on two threads, on layers folded once; bit for
-    bit those of one whole-sequence eval `forward_batch`."""
+    bit those of one whole-sequence eval `forward_batch`. Raises FormatError
+    when the logits are not all finite, as weights holding a NaN or an
+    infinity give."""
     values = np.asarray(values, dtype=p.dtype)
     if values.ndim != 2 or values.shape[1] != N_BANDS:
         raise ShapeError(f"expected (T, {N_BANDS}), got {values.shape}")
@@ -449,12 +442,15 @@ def forward(p: ModelParams, values: np.ndarray) -> np.ndarray:
     n = max(-(-t // BLOCK), min(t, 2))
     edges = [t * k // n for k in range(n + 1)]
 
-    def run_block(lo, hi):
+    def run_block(k):
+        lo, hi = edges[k], edges[k + 1]
         a, b = max(lo - HALO, 0), min(hi + HALO, t)
         block, _ = _eval_logits(p, layers, values[None, a:b])
         logits[lo:hi] = block[0, lo - a:hi - a]
 
-    run_blocks(zip(edges[:-1], edges[1:]), run_block)
+    run_blocks(range(n), run_block)
+    if not np.isfinite(logits).all():
+        raise FormatError("the weights give non-finite logits")
     return logits
 
 
@@ -483,20 +479,21 @@ def _worker():
         return _pool
 
 
-def run_blocks(blocks, run) -> None:
-    """Call run(lo, hi) for every (lo, hi) of blocks, on the calling thread
-    and the worker, which take the blocks from one shared queue, with
-    OpenBLAS held at one thread. Each block must write only its own part of
-    the output, so the result does not depend on which thread ran it."""
-    todo = deque(blocks)
+def run_blocks(items, run) -> list:
+    """[run(item) for item in items], in item order, computed on the calling
+    thread and the worker, which take the items from one shared queue, with
+    OpenBLAS held at one thread. Each call may write only its own part of a
+    shared output, so the result does not depend on which thread ran it."""
+    todo = deque(enumerate(items))
+    out = [None] * len(todo)
 
     def drain():
         while True:
             try:
-                lo, hi = todo.popleft()
+                k, item = todo.popleft()
             except IndexError:
                 return
-            run(lo, hi)
+            out[k] = run(item)
 
     with one_blas_thread():
         pool = _worker() if len(todo) > 1 else None
@@ -504,11 +501,12 @@ def run_blocks(blocks, run) -> None:
         try:
             drain()
         finally:
-            todo.clear()  # after an error, the worker stops at its block
+            todo.clear()  # after an error, the worker stops at its item
             # a helper that never started (the worker was busy with another
-            # call) is not waited for: this thread ran every block
+            # call) is not waited for: this thread ran every item
             if helper is not None and not helper.cancel():
                 helper.result()
+    return out
 
 
 @functools.cache

@@ -1,13 +1,10 @@
 """End-to-end estimator: audio -> spectrogram -> network -> contour."""
 from __future__ import annotations
 
-import numpy as np
-
 from . import model as net
 from .audio_io import CANONICAL_SR, AudioBuffer, PitchContour, resample_linear
 from .decode import DecoderConfig, decode_contour
 from .dsp import spectrogram
-from .errors import FormatError
 
 
 def analyze(buf: AudioBuffer, params: net.ModelParams,
@@ -18,12 +15,10 @@ def analyze(buf: AudioBuffer, params: net.ModelParams,
     which runs on two threads of its own: a helper thread OpenBLAS left
     spinning after the spectrogram's GEMMs would take the second CPU.
     Raises FormatError when the logits are not all finite, as weights
-    holding a NaN or an infinity give."""
+    holding a NaN or an infinity give (`model.forward`)."""
     dec_cfg = dec_cfg or DecoderConfig()
     buf = resample_linear(buf, CANONICAL_SR)
     with net.one_blas_thread():
         logits = net.forward(params, spectrogram(buf))
-    if not np.isfinite(logits).all():
-        raise FormatError("the weights give non-finite logits")
     return decode_contour(logits, dec_cfg)
 

@@ -7,8 +7,9 @@ import pytest
 
 from pitchkit import model as net
 from pitchkit.audio_io import (AudioBuffer, read_contour_csv, read_wav,
-                               write_contour_csv, write_wav)
-from pitchkit.cli import EXIT_CODES, build_parser, main
+                               resample_linear, write_contour_csv, write_wav)
+from pitchkit.cli import EXIT_CODES, _load_noise, build_parser, main
+from pitchkit.metrics import evaluate_noisy
 from pitchkit.synth import SynthSpec, random_spec, synth_example
 
 
@@ -114,6 +115,12 @@ def test_non_finite_weights_exit_2(workdir, capsys, value):
                str(workdir / "tone.csv")])
     assert rc == 2
     assert "non-finite logits" in capsys.readouterr().err
+    rc = main(["bench", str(workdir / "tone.wav"), str(weights),
+               "--repeats", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "non-finite logits" in captured.err
+    assert "repeats=" not in captured.out
 
 
 def test_analyze_missing_wav(workdir):
@@ -223,6 +230,31 @@ def noise_dirs(workdir):
     write_wav(AudioBuffer(np.zeros(0), 16000), silent_dir / "n.wav")
     return {"does not exist": workdir / "absent",
             "holds no *.wav": empty_dir, "has no samples": silent_dir}
+
+
+def test_noisy_mixes_noise_file_at_canonical_rate(workdir, tmp_path):
+    # noise files are read at CANONICAL_SR; mixed into a 44.1 kHz clip at
+    # the clip's rate, a 1000 Hz noise tone reached the estimator at 2756 Hz
+    rate = 44100
+    t = np.arange(rate) / rate
+    write_wav(AudioBuffer(0.5 * np.sin(2 * np.pi * 1000.0 * t), rate),
+              tmp_path / "tone1k.wav", dtype="float32")
+    clean = AudioBuffer(0.1 * np.sin(2 * np.pi * 220.0 * t), rate)
+    truth = read_contour_csv(workdir / "tone.csv")
+    seen = []
+
+    def estimator(buf):
+        seen.append(buf)
+        return truth
+
+    evaluate_noisy(estimator, [(clean, truth)], snr_db=10.0,
+                   noise_signals=_load_noise(tmp_path))
+    (mixed,) = seen
+    added = (mixed.samples
+             - resample_linear(clean, mixed.sample_rate_hz).samples)
+    spectrum = np.abs(np.fft.rfft(added))
+    bin_hz = mixed.sample_rate_hz / len(added)
+    assert abs(np.argmax(spectrum) * bin_hz - 1000.0) <= bin_hz
 
 
 @pytest.mark.parametrize("case", ["does not exist", "holds no *.wav",

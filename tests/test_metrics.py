@@ -274,6 +274,26 @@ def test_evaluate_noisy_deterministic():
     assert r1.as_dict() == r2.as_dict()
 
 
+def test_evaluate_noisy_gaussian_at_16k_mixes_clip_as_given():
+    # a clip already at 16 kHz is not resampled: it gets the seed's first
+    # draws of Gaussian noise, mixed at exactly the SNR
+    from pitchkit.augment import mix_at_snr
+    rng = np.random.default_rng(12)
+    buf = AudioBuffer(rng.uniform(-0.5, 0.5, 16000), 16000)
+    truth = contour(np.full(59, 220.0))
+    seen = []
+
+    def estimator(got):
+        seen.append(got)
+        return truth
+
+    evaluate_noisy(estimator, [(buf, truth)], snr_db=5.0, seed=3)
+    noise = np.random.default_rng(3).standard_normal(16000)
+    expected = np.clip(mix_at_snr(buf.samples, noise, 5.0), -1.0, 1.0)
+    assert seen[0].sample_rate_hz == 16000
+    assert np.array_equal(seen[0].samples, expected)
+
+
 def test_evaluate_noisy_rejects_empty_noise_signal():
     buf = AudioBuffer(np.full(16000, 0.1), 16000)
     truth = contour(np.full(59, 220.0))

@@ -206,6 +206,19 @@ def test_conv_forward_matches_direct_sum(layer, dtype):
     assert np.all(np.abs(out - expected) <= 64 * np.finfo(dtype).eps * abs_sum)
 
 
+@pytest.mark.parametrize("layer", range(len(net.CHANNEL_PLAN) - 1))
+def test_conv_outputs_are_c_order(layer):
+    # batch norm's channel sums depend on the memory layout of what they
+    # sum, so every kernel, and so every dx, must return C order
+    rng = np.random.default_rng(layer)
+    c_in, c_out = net.CHANNEL_PLAN[layer], net.CHANNEL_PLAN[layer + 1]
+    x = rng.standard_normal((2, 9, 21, c_in))
+    w = rng.standard_normal((c_out, c_in, net.KERNEL, net.KERNEL))
+    assert net._conv_forward(x, w, np.zeros(c_out)).flags.c_contiguous
+    dx, _ = net._conv_backward(x, w, rng.standard_normal((2, 9, 21, c_out)))
+    assert dx is None or dx.flags.c_contiguous
+
+
 def direct_sum_conv_backward(x, w, d):
     """float64 oracle of the conv's gradients, each with the sum of |terms|:
     dx[b,t,f,c] = sum_{i,j,o} d[b,t+PAD-i,f+PAD-j,o] w[o,c,i,j],
@@ -280,27 +293,49 @@ def reference_bn_backward(d_out, x_hat, inv_std, gamma):
     return dx, d_gamma, d_beta
 
 
-@pytest.mark.parametrize("train", [True])
 @pytest.mark.parametrize("c", [1, 8, 64])
-def test_batch_norm_matches_reference(train, c):
+def test_batch_norm_matches_reference(c):
+    # B = 3: the batch halves hold 1 and 2 samples
     rng = np.random.default_rng(c)
     x = rng.normal(0.7, 2.0, (3, 9, 21, c))
-    x_before = x.copy()
     gamma, beta = rng.uniform(0.5, 1.5, c), rng.normal(0.0, 0.3, c)
     run_mean, run_var = rng.normal(0.0, 0.3, c), rng.uniform(0.5, 2.0, c)
     y_ref, x_hat_ref, inv_std_ref, mean_ref, var_ref = reference_bn_forward(
-        x, gamma, beta, run_mean, run_var, train)
-    y, (x_hat, inv_std) = net._bn_forward(x, gamma, beta, run_mean, run_var)
-    assert np.array_equal(x, x_before)
-    for got, expected in ((y, y_ref), (x_hat, x_hat_ref),
+        x, gamma, beta, run_mean, run_var, True)
+    halves = net._halves(x.copy())
+    assert [len(h) for h in halves] == [1, 2]
+    y, (x_hat, inv_std) = net._bn_forward(halves, gamma, beta, run_mean,
+                                          run_var)
+    # each half is normalised in place into its x_hat
+    assert all(np.shares_memory(a, b) for a, b in zip(x_hat, halves))
+    for got, expected in ((np.concatenate(y), y_ref),
+                          (np.concatenate(x_hat), x_hat_ref),
                           (inv_std, inv_std_ref), (run_mean, mean_ref),
                           (run_var, var_ref)):
         np.testing.assert_allclose(got, expected, rtol=1e-10)
     d = rng.standard_normal(x.shape)
-    for got, expected in zip(net._bn_backward(d, x_hat, inv_std, gamma),
+    dx, d_gamma, d_beta = net._bn_backward(net._halves(d), x_hat, inv_std,
+                                           gamma)
+    for got, expected in zip((np.concatenate(dx), d_gamma, d_beta),
                              reference_bn_backward(d, x_hat_ref, inv_std_ref,
                                                    gamma)):
         np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("worker", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_run_blocks_returns_results_in_order(monkeypatch, worker, n):
+    if not worker:
+        monkeypatch.setattr(net, "_worker", lambda: None)
+    threads = set()
+
+    def run(item):
+        threads.add(threading.get_ident())
+        return item * item
+
+    assert net.run_blocks(iter(range(n)), run) == [k * k for k in range(n)]
+    if not worker:
+        assert threads <= {threading.get_ident()}
 
 
 def random_bn_params(seed, dtype):
