@@ -33,8 +33,8 @@ class AudioBuffer:
             raise ArgumentError("AudioBuffer requires a 1-D sample array")
         if not np.all(np.isfinite(self.samples)):
             raise ArgumentError("samples must be finite")
-        if self.sample_rate_hz <= 0:
-            raise ArgumentError("sample_rate_hz must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ArgumentError("sample_rate_hz must be finite and positive")
 
     @property
     def duration_seconds(self) -> float:
@@ -57,8 +57,8 @@ class PitchContour:
         self.voiced = np.asarray(self.voiced, dtype=bool)
         if not (len(self.f0_hz) == len(self.confidence) == len(self.voiced)):
             raise ArgumentError("contour fields must have equal length")
-        if self.hop_seconds <= 0:
-            raise ArgumentError("hop_seconds must be positive")
+        if not (np.isfinite(self.hop_seconds) and self.hop_seconds > 0):
+            raise ArgumentError("hop_seconds must be finite and positive")
 
     @property
     def times(self) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Evaluation suite: six-component harmonic-mean score plus chroma
 accuracy and voicing F1.
 
-Pitch-accuracy components are computed over ground-truth-voiced frames
-using the estimator's raw per-frame pitch regardless of its voicing flag;
-voicing quality is scored separately by precision/recall.
+Scoring rules. Predicted frame i pairs with truth frame i: the two hops must
+agree within HOP_MATCH_S, and extra tail frames on either side drop. A
+predicted F0 that is not a finite, positive frequency counts as absent, and a
+truth frame counts as voiced only when it is flagged voiced and its F0 is a
+finite, positive frequency. The pitch components score the estimator's F0 on
+every truth-voiced frame whatever its voicing flag; voicing quality is scored
+separately by precision and recall.
 """
 from __future__ import annotations
 
@@ -23,18 +27,6 @@ HOP_MATCH_S = 1e-9
 
 
 @dataclass
-class AlignedFrames:
-    f_true: np.ndarray       # NaN where absent
-    f_pred: np.ndarray       # NaN where absent
-    voiced_true: np.ndarray  # bool
-    voiced_pred: np.ndarray  # bool
-
-    @property
-    def n_voiced(self) -> int:
-        return int(self.voiced_true.sum())
-
-
-@dataclass
 class EvalReport:
     rpa: float
     ca: float
@@ -50,101 +42,6 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def align(pred: PitchContour, truth: PitchContour) -> AlignedFrames:
-    """Pair frame i with frame i; extra tail frames on either side drop. A
-    predicted F0 that is no positive finite frequency counts as absent, and
-    a truth frame counts as voiced only when its F0 is one."""
-    if abs(pred.hop_seconds - truth.hop_seconds) > HOP_MATCH_S:
-        raise AlignmentError(
-            f"hop mismatch: {pred.hop_seconds} vs {truth.hop_seconds}")
-    n = min(len(pred), len(truth))
-    f_pred = pred.f0_hz[:n].copy()
-    f_pred[~(np.isfinite(f_pred) & (f_pred > 0.0))] = np.nan
-    f_true = truth.f0_hz[:n].copy()
-    return AlignedFrames(
-        f_true=f_true,
-        f_pred=f_pred,
-        voiced_true=truth.voiced[:n] & np.isfinite(f_true) & (f_true > 0.0),
-        voiced_pred=pred.voiced[:n].copy(),
-    )
-
-
-def _voiced_deltas(a: AlignedFrames):
-    """(delta_cents with NaN for absent predictions, mask of voiced_true)."""
-    if a.n_voiced == 0:
-        raise UndefinedMetric("no ground-truth voiced frames")
-    vt = a.voiced_true
-    f_true = a.f_true[vt]
-    f_pred = a.f_pred[vt]
-    delta = np.full(len(f_true), np.nan)
-    has = ~np.isnan(f_pred)
-    if np.any(has):
-        delta[has] = cents_error(f_pred[has], f_true[has])
-    return delta
-
-
-def rpa(a: AlignedFrames) -> float:
-    """Fraction of voiced frames within 50 cents; absent predictions miss."""
-    delta = _voiced_deltas(a)
-    hits = np.abs(delta) < 50.0  # NaN compares false
-    return float(hits.sum() / len(delta))
-
-
-def rca(a: AlignedFrames) -> float:
-    """RPA with errors folded modulo one octave into [-600, 600)."""
-    delta = _voiced_deltas(a)
-    folded = (delta + 600.0) % 1200.0 - 600.0
-    hits = np.abs(folded) < 50.0
-    return float(hits.sum() / len(delta))
-
-
-def cents_accuracy(a: AlignedFrames) -> float:
-    """exp(-mean|delta|/500) over frames that have a prediction."""
-    delta = _voiced_deltas(a)
-    present = ~np.isnan(delta)
-    if not np.any(present):
-        raise UndefinedMetric("no voiced frame carries a prediction")
-    return float(np.exp(-np.mean(np.abs(delta[present])) / 500.0))
-
-
-def voicing_pr(a: AlignedFrames):
-    """(precision, recall, f1) of the voicing flags."""
-    tp = int(np.sum(a.voiced_pred & a.voiced_true))
-    fp = int(np.sum(a.voiced_pred & ~a.voiced_true))
-    fn = int(np.sum(~a.voiced_pred & a.voiced_true))
-    if tp + fp == 0:
-        raise UndefinedMetric("no predicted-voiced frames: precision undefined")
-    if tp + fn == 0:
-        raise UndefinedMetric("no true-voiced frames: recall undefined")
-    p = tp / (tp + fp)
-    r = tp / (tp + fn)
-    f1 = 0.0 if p + r == 0 else 2 * p * r / (p + r)
-    return p, r, f1
-
-
-def octave_accuracy(a: AlignedFrames) -> float:
-    """exp(-10 * octave-error rate); errors are >40% relative frequency
-    deviation or 1100-1300 cents absolute. Absent predictions do not count
-    as octave errors (they have no octave direction)."""
-    vt = a.voiced_true
-    delta = _voiced_deltas(a)
-    f_true = a.f_true[vt]
-    f_pred = a.f_pred[vt]
-    present = ~np.isnan(f_pred)
-    rel = np.zeros(len(f_true), dtype=bool)
-    rel[present] = np.abs(f_pred[present] / f_true[present] - 1.0) > 0.40
-    absd = (np.abs(delta) >= 1100.0) & (np.abs(delta) <= 1300.0)
-    errors = int(np.sum(rel | np.where(np.isnan(delta), False, absd)))
-    return float(np.exp(-10.0 * errors / len(f_true)))
-
-
-def gross_error_accuracy(a: AlignedFrames) -> float:
-    """exp(-5 * gross-error rate); |delta| >= 200 cents or absent prediction."""
-    delta = _voiced_deltas(a)
-    gross = np.isnan(delta) | (np.abs(delta) >= 200.0)
-    return float(np.exp(-5.0 * gross.sum() / len(delta)))
-
-
 def harmonic_mean(components) -> float:
     """6 / sum(1/c); a zero component pins the result to 0 (limit)."""
     comps = list(components)
@@ -156,13 +53,57 @@ def harmonic_mean(components) -> float:
 
 
 def evaluate(pred: PitchContour, truth: PitchContour) -> EvalReport:
-    a = align(pred, truth)
-    r_rpa = rpa(a)
-    r_ca = cents_accuracy(a)
-    p, r, f1 = voicing_pr(a)
-    r_oa = octave_accuracy(a)
-    r_gea = gross_error_accuracy(a)
-    r_rca = rca(a)
+    """Score pred against truth under the module's scoring rules.
+
+    Over the n truth-voiced frames, d is a frame's cents error
+    1200·log2(f_pred / f_true), defined where the prediction is present:
+    - rpa: the share of frames with |d| < 50; an absent prediction misses.
+    - rca: rpa with d folded modulo one octave into [-600, 600).
+    - ca: exp(-mean|d| / 500) over the frames with a prediction.
+    - oa: exp(-10·e / n), e the frames whose prediction is off by more than
+      40 % in frequency (|f_pred / f_true - 1| > 0.40) or by 1100-1300
+      cents; an absent prediction has no octave direction and is no error.
+    - gea: exp(-5·g / n), g the frames with |d| >= 200 or no prediction.
+    - precision, recall and f1 of the voicing flags against truth-voiced.
+    - hm: harmonic_mean of rpa, ca, precision, recall, oa and gea.
+
+    Raises AlignmentError when the hops differ, and UndefinedMetric when
+    truth has no voiced frame, when no truth-voiced frame has a prediction,
+    or when no frame is predicted voiced, checked in that order.
+    """
+    if abs(pred.hop_seconds - truth.hop_seconds) > HOP_MATCH_S:
+        raise AlignmentError(
+            f"hop mismatch: {pred.hop_seconds} vs {truth.hop_seconds}")
+    n = min(len(pred), len(truth))
+    f_true = truth.f0_hz[:n]
+    voiced_true = truth.voiced[:n] & np.isfinite(f_true) & (f_true > 0.0)
+    n_voiced = int(voiced_true.sum())
+    if n_voiced == 0:
+        raise UndefinedMetric("no ground-truth voiced frames")
+    f_pred, f_true = pred.f0_hz[:n][voiced_true], f_true[voiced_true]
+    present = np.isfinite(f_pred) & (f_pred > 0.0)
+    if not present.any():
+        raise UndefinedMetric("no voiced frame carries a prediction")
+    voiced_pred = pred.voiced[:n]
+    n_pred = int(voiced_pred.sum())
+    if n_pred == 0:
+        raise UndefinedMetric("no predicted-voiced frames: precision undefined")
+
+    f_pred, f_true = f_pred[present], f_true[present]
+    d = cents_error(f_pred, f_true)
+    abs_d = np.abs(d)
+    octave_errors = int(np.sum((np.abs(f_pred / f_true - 1.0) > 0.40)
+                               | ((abs_d >= 1100.0) & (abs_d <= 1300.0))))
+    gross = n_voiced - len(d) + int(np.sum(abs_d >= 200.0))
+    tp = int(np.sum(voiced_pred & voiced_true))
+
+    r_rpa = float(np.sum(abs_d < 50.0) / n_voiced)
+    r_ca = float(np.exp(-np.mean(abs_d) / 500.0))
+    p, r = tp / n_pred, tp / n_voiced
+    f1 = 0.0 if p + r == 0 else 2 * p * r / (p + r)
+    r_oa = float(np.exp(-10.0 * octave_errors / n_voiced))
+    r_gea = float(np.exp(-5.0 * gross / n_voiced))
+    r_rca = float(np.sum(np.abs((d + 600.0) % 1200.0 - 600.0) < 50.0) / n_voiced)
     hm = harmonic_mean([r_rpa, r_ca, p, r, r_oa, r_gea])
     return EvalReport(rpa=r_rpa, ca=r_ca, precision=p, recall=r, f1=f1,
                       oa=r_oa, gea=r_gea, rca=r_rca, hm=hm)

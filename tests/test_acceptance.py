@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from pitchkit import decode, dsp, grid, model as net
-from pitchkit.audio_io import HOP, AudioBuffer
+from pitchkit.audio_io import HOP, AudioBuffer, PitchContour
 from pitchkit.decode import DecoderConfig, decode_probs
 from pitchkit.losses import loss_total, softmax_rows
 from pitchkit.metrics import (average_reports, evaluate, evaluate_noisy,
-                              harmonic_mean, rca, rpa)
+                              harmonic_mean)
 from pitchkit.pipeline import analyze
 from pitchkit.synth import random_spec, synth_example
 from pitchkit.train import TrainConfig, train_loop
@@ -173,23 +173,21 @@ def test_criterion_05_decoder_properties():
 
 # -- criterion 6: metric oracle ----------------------------------------------
 
-def _aligned(f_true, f_pred, voiced_true, voiced_pred):
-    from pitchkit.metrics import AlignedFrames
-    return AlignedFrames(np.asarray(f_true, float), np.asarray(f_pred, float),
-                         np.asarray(voiced_true, bool),
-                         np.asarray(voiced_pred, bool))
+def _report(f_true, f_pred, voiced_true, voiced_pred):
+    def contour(f0, voiced):
+        return PitchContour(0.016, np.asarray(f0, float), np.ones(len(f0)),
+                            np.asarray(voiced, bool))
+    return evaluate(contour(f_pred, voiced_pred), contour(f_true, voiced_true))
 
 
 def test_criterion_06_metric_oracle():
-    from pitchkit.metrics import (cents_accuracy, gross_error_accuracy,
-                                  octave_accuracy)
     f = 220.0
-    one = _aligned([f], [f * 2 ** (500 / 1200)], [True], [True])
-    assert cents_accuracy(one) == pytest.approx(np.exp(-1.0), abs=1e-9)
-    octave = _aligned([f] * 10, [2 * f] * 10, [True] * 10, [True] * 10)
-    assert octave_accuracy(octave) == pytest.approx(np.exp(-10.0), abs=1e-9)
-    assert gross_error_accuracy(octave) == pytest.approx(np.exp(-5.0), abs=1e-9)
-    assert rca(octave) == 1.0 and rpa(octave) == 0.0
+    one = _report([f], [f * 2 ** (500 / 1200)], [True], [True])
+    assert one.ca == pytest.approx(np.exp(-1.0), abs=1e-9)
+    octave = _report([f] * 10, [2 * f] * 10, [True] * 10, [True] * 10)
+    assert octave.oa == pytest.approx(np.exp(-10.0), abs=1e-9)
+    assert octave.gea == pytest.approx(np.exp(-5.0), abs=1e-9)
+    assert octave.rca == 1.0 and octave.rpa == 0.0
     assert harmonic_mean([0.9] * 6) == pytest.approx(0.9, abs=1e-9)
     assert harmonic_mean([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]) == 0.0
 
@@ -204,9 +202,9 @@ def test_criterion_06_metric_oracle():
         voiced_pred = rng.uniform(size=n) > 0.3
         if not voiced_pred.any():
             voiced_pred[0] = True
-        a = _aligned(np.where(voiced_true, f_true, np.nan), f_pred,
-                     voiced_true, voiced_pred)
-        assert rpa(a) <= rca(a) + 1e-12
+        r = _report(np.where(voiced_true, f_true, np.nan), f_pred,
+                    voiced_true, voiced_pred)
+        assert r.rpa <= r.rca + 1e-12
         comps = rng.uniform(0.01, 1.0, 6)
         hm = harmonic_mean(comps)
         # the weakest component dominates: min <= HM <= 6*min

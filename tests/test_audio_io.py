@@ -119,6 +119,22 @@ def test_resample_bad_rate():
         resample_linear(AudioBuffer(np.zeros(10), 16000), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_audio_buffer_rate_must_be_finite_and_positive(bad):
+    # NaN passes a bare `<= 0` check, and analyze then fails with a raw
+    # ValueError; inf ends in a misleading InputTooShort
+    with pytest.raises(ArgumentError, match="sample_rate_hz"):
+        AudioBuffer(np.zeros(16000), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_contour_hop_must_be_finite_and_positive(bad):
+    # NaN passes a bare `<= 0` check, and evaluate's hop check would pair
+    # it with any truth, since abs(nan - hop) > HOP_MATCH_S is False
+    with pytest.raises(ArgumentError, match="hop_seconds"):
+        PitchContour(bad, [220.0], [1.0], [True])
+
+
 def test_contour_csv_empty(tmp_path):
     c = PitchContour(0.016, np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))
     path = tmp_path / "c.csv"

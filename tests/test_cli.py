@@ -465,6 +465,30 @@ def test_bench_zero_repeats(workdir, capsys):
     assert "--repeats" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, code", [("short_16k", 1), ("empty_44k", 1),
+                                        ("truncated_weights", 2)])
+def test_bench_fails_as_analyze_does(workdir, capsys, case, code):
+    # bench keeps its own copy of analyze's stages, so each check of
+    # analyze's input has to fail bench with the same exit code and line
+    wav, weights = workdir / "tone.wav", workdir / "w.bin"
+    if case == "short_16k":  # shorter than one window
+        wav = workdir / "short.wav"
+        write_wav(AudioBuffer(np.full(1000, 0.1), 16000), wav)
+    elif case == "empty_44k":
+        wav = workdir / "empty.wav"
+        write_wav(AudioBuffer(np.zeros(0), 44100), wav)
+    else:
+        weights = workdir / "truncated.bin"
+        weights.write_bytes((workdir / "w.bin").read_bytes()[:100])
+    out = workdir / "never.csv"
+    assert main(["analyze", str(wav), str(weights), str(out)]) == code
+    analyze_err = capsys.readouterr().err
+    assert main(["bench", str(wav), str(weights), "--repeats", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == analyze_err and analyze_err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
 def _parser_options():
     """Each subcommand's flags, as build_parser() offers them."""
     subparsers = build_parser()._subparsers._group_actions[0].choices

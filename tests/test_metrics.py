@@ -1,13 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pitchkit.audio_io import AudioBuffer, PitchContour
 from pitchkit.baseline import acf_contour
 from pitchkit.errors import AlignmentError, ArgumentError, UndefinedMetric
-from pitchkit.metrics import (AlignedFrames, align, cents_accuracy, evaluate,
-                              evaluate_noisy, gross_error_accuracy,
-                              harmonic_mean, octave_accuracy, rca, rpa,
-                              voicing_pr)
+from pitchkit.metrics import evaluate, evaluate_noisy, harmonic_mean
 from pitchkit.synth import random_spec, synth_example
 
 
@@ -20,137 +20,144 @@ def contour(f0, voiced=None, conf=None, hop=0.016):
     return PitchContour(hop, f0, conf, np.asarray(voiced, bool))
 
 
-def frames(f_true, f_pred, voiced_true=None, voiced_pred=None):
-    f_true = np.asarray(f_true, dtype=float)
-    f_pred = np.asarray(f_pred, dtype=float)
-    if voiced_true is None:
-        voiced_true = ~np.isnan(f_true)
-    if voiced_pred is None:
-        voiced_pred = ~np.isnan(f_pred)
-    return AlignedFrames(f_true, f_pred, np.asarray(voiced_true, bool),
-                         np.asarray(voiced_pred, bool))
+def report(f_true, f_pred, voiced_true=None, voiced_pred=None):
+    """evaluate of the prediction f_pred against the truth f_true; a frame's
+    voicing flag defaults to whether its F0 is given (not NaN)."""
+    return evaluate(contour(f_pred, voiced_pred), contour(f_true, voiced_true))
 
 
 def random_pair(rng, n=200):
+    """(pred, truth) contours: truth F0 is NaN where truth is unvoiced."""
     f_true = rng.uniform(60, 1800, n)
     voiced_true = rng.uniform(size=n) > 0.3
     f_pred = f_true * 2.0 ** (rng.standard_normal(n) * 0.2)
     voiced_pred = rng.uniform(size=n) > 0.3
     f_true = np.where(voiced_true, f_true, np.nan)
-    return frames(f_true, f_pred, voiced_true, voiced_pred)
+    return contour(f_pred, voiced_pred), contour(f_true, voiced_true)
 
 
-# -- align ------------------------------------------------------------------
+# -- alignment --------------------------------------------------------------
 
 def test_align_identical():
     c = contour([220.0, np.nan, 440.0])
-    a = align(c, c)
-    np.testing.assert_array_equal(a.voiced_true, a.voiced_pred)
+    r = evaluate(c, c)
+    assert r.precision == r.recall == 1.0
 
 
 def test_align_tail_dropped():
+    # the extra frames of either side, voiced or not, do not count
     truth = contour([220.0] * 5)
-    pred = contour([220.0] * 8)
-    a = align(pred, truth)
-    assert len(a.f_true) == 5
+    pred = contour([220.0] * 5 + [440.0] * 3)
+    assert evaluate(pred, truth).hm == 1.0
+    assert evaluate(truth, pred).hm == 1.0
 
 
 def test_align_hop_mismatch():
     with pytest.raises(AlignmentError):
-        align(contour([220.0], hop=0.01), contour([220.0], hop=0.016))
+        evaluate(contour([220.0], hop=0.01), contour([220.0], hop=0.016))
+
+
+@pytest.mark.parametrize("f_true, f_pred, voiced_pred, message", [
+    ([np.nan], [np.nan], [False], "no ground-truth voiced frames"),
+    ([220.0], [np.nan], [False], "no voiced frame carries a prediction"),
+])
+def test_evaluate_undefined_checks_in_order(f_true, f_pred, voiced_pred,
+                                            message):
+    # each input also fails every later check; test_voicing_degenerate
+    # checks the last one, precision
+    with pytest.raises(UndefinedMetric, match=message):
+        report(f_true, f_pred, voiced_pred=voiced_pred)
 
 
 # -- rpa / rca --------------------------------------------------------------
 
 def test_rpa_all_exact():
-    a = frames([220.0, 440.0], [220.0, 440.0])
-    assert rpa(a) == 1.0
+    assert report([220.0, 440.0], [220.0, 440.0]).rpa == 1.0
 
 
 def test_rpa_strict_50_cent_boundary():
     f = 220.0
     almost = f * 2.0 ** (49.9 / 1200.0)
     exactly = f * 2.0 ** (50.0 / 1200.0)
-    assert rpa(frames([f], [almost])) == 1.0
-    assert rpa(frames([f], [exactly])) == 0.0
+    assert report([f], [almost]).rpa == 1.0
+    assert report([f], [exactly]).rpa == 0.0
 
 
 def test_rpa_fraction():
     truth = np.full(10, 220.0)
     pred = truth.copy()
     pred[7:] *= 2.0 ** (300.0 / 1200.0)
-    assert rpa(frames(truth, pred)) == 0.7
+    assert report(truth, pred).rpa == 0.7
 
 
 def test_rpa_absent_prediction_is_miss():
-    a = frames([220.0, 220.0], [220.0, np.nan], voiced_pred=[True, False])
-    assert rpa(a) == 0.5
+    r = report([220.0, 220.0], [220.0, np.nan], voiced_pred=[True, False])
+    assert r.rpa == 0.5
 
 
 def test_rpa_undefined_without_voiced():
     with pytest.raises(UndefinedMetric):
-        rpa(frames([np.nan], [220.0], voiced_true=[False]))
+        report([np.nan], [220.0], voiced_true=[False])
 
 
 def test_rca_octave_error_forgiven():
-    a = frames([220.0], [440.0])
-    assert rpa(a) == 0.0
-    assert rca(a) == 1.0
+    r = report([220.0], [440.0])
+    assert r.rpa == 0.0
+    assert r.rca == 1.0
 
 
 def test_rca_ge_rpa_random():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        a = random_pair(rng)
-        assert rca(a) >= rpa(a)
+        r = evaluate(*random_pair(rng))
+        assert r.rca >= r.rpa
 
 
 # -- cents accuracy ---------------------------------------------------------
 
 def test_ca_closed_forms():
     f = 220.0
-    assert cents_accuracy(frames([f], [f])) == 1.0
+    assert report([f], [f]).ca == 1.0
     pred = f * 2.0 ** (500.0 / 1200.0)
-    assert cents_accuracy(frames([f], [pred])) == pytest.approx(np.exp(-1.0), abs=1e-9)
+    assert report([f], [pred]).ca == pytest.approx(np.exp(-1.0), abs=1e-9)
     pred = f * 2.0 ** (50.0 / 1200.0)
-    assert cents_accuracy(frames([f], [pred])) == pytest.approx(np.exp(-0.1), abs=1e-9)
+    assert report([f], [pred]).ca == pytest.approx(np.exp(-0.1), abs=1e-9)
 
 
 def test_ca_excludes_absent_predictions():
-    a = frames([220.0, 220.0], [220.0, np.nan], voiced_pred=[True, False])
-    assert cents_accuracy(a) == 1.0
+    r = report([220.0, 220.0], [220.0, np.nan], voiced_pred=[True, False])
+    assert r.ca == 1.0
 
 
 # -- voicing ----------------------------------------------------------------
 
 def test_voicing_perfect():
-    a = frames([220.0, np.nan], [220.0, np.nan])
-    assert voicing_pr(a) == (1.0, 1.0, 1.0)
+    r = report([220.0, np.nan], [220.0, np.nan])
+    assert (r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0)
 
 
 def test_voicing_all_pred_voiced():
-    a = frames([220.0, np.nan], [220.0, 220.0],
+    r = report([220.0, np.nan], [220.0, 220.0],
                voiced_true=[True, False], voiced_pred=[True, True])
-    p, r, f1 = voicing_pr(a)
-    assert (p, r) == (0.5, 1.0)
-    assert f1 == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert (r.precision, r.recall) == (0.5, 1.0)
+    assert r.f1 == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_voicing_degenerate():
-    a = frames([220.0], [np.nan], voiced_pred=[False])
-    with pytest.raises(UndefinedMetric):
-        voicing_pr(a)
+    # the frame's F0 is given, so only precision is undefined
+    with pytest.raises(UndefinedMetric, match="precision undefined"):
+        report([220.0], [220.0], voiced_pred=[False])
 
 
 # -- octave / gross ---------------------------------------------------------
 
 def test_oa_closed_forms():
     f = np.full(100, 220.0)
-    assert octave_accuracy(frames(f, f)) == 1.0
-    assert octave_accuracy(frames(f, 2 * f)) == pytest.approx(np.exp(-10.0), abs=1e-12)
+    assert report(f, f).oa == 1.0
+    assert report(f, 2 * f).oa == pytest.approx(np.exp(-10.0), abs=1e-12)
     pred = f.copy()
     pred[0] *= 2.0
-    assert octave_accuracy(frames(f, pred)) == pytest.approx(np.exp(-0.1), abs=1e-9)
+    assert report(f, pred).oa == pytest.approx(np.exp(-0.1), abs=1e-9)
 
 
 def test_oa_relative_error_branch():
@@ -158,21 +165,22 @@ def test_oa_relative_error_branch():
     f = 220.0
     pred = f * 2.0 ** (700.0 / 1200.0)
     assert abs(pred / f - 1) > 0.40
-    assert octave_accuracy(frames([f], [pred])) == pytest.approx(np.exp(-10.0))
+    assert report([f], [pred]).oa == pytest.approx(np.exp(-10.0))
 
 
 def test_gea_closed_forms():
     f = np.full(10, 220.0)
-    assert gross_error_accuracy(frames(f, f)) == 1.0
-    assert gross_error_accuracy(frames(f, 3 * f)) == pytest.approx(np.exp(-5.0), abs=1e-12)
+    assert report(f, f).gea == 1.0
+    assert report(f, 3 * f).gea == pytest.approx(np.exp(-5.0), abs=1e-12)
     pred = f.copy()
     pred[:2] *= 2.0 ** (250.0 / 1200.0)
-    assert gross_error_accuracy(frames(f, pred)) == pytest.approx(np.exp(-1.0), abs=1e-9)
+    assert report(f, pred).gea == pytest.approx(np.exp(-1.0), abs=1e-9)
 
 
 def test_gea_absent_prediction_is_gross():
-    a = frames([220.0], [np.nan], voiced_pred=[False])
-    assert gross_error_accuracy(a) == pytest.approx(np.exp(-5.0))
+    # the first frame, predicted exactly, keeps ca and precision defined
+    r = report([220.0, 220.0], [220.0, np.nan], voiced_pred=[True, False])
+    assert r.gea == pytest.approx(np.exp(-2.5))
 
 
 # -- harmonic mean ----------------------------------------------------------
@@ -233,12 +241,12 @@ def test_metrics_unaffected_by_mutually_unvoiced_padding():
 
 def test_brute_force_recount_random():
     rng = np.random.default_rng(3)
-    a = random_pair(rng, n=1000)
-    vt = a.voiced_true
+    pred, truth = random_pair(rng, n=1000)
+    vt = truth.voiced
     n = vt.sum()
     hits = grosses = octaves = 0
     abs_cents = []
-    for ft, fp in zip(a.f_true[vt], a.f_pred[vt]):
+    for ft, fp in zip(truth.f0_hz[vt], pred.f0_hz[vt]):
         if np.isnan(fp):
             grosses += 1
             continue
@@ -250,10 +258,78 @@ def test_brute_force_recount_random():
             grosses += 1
         if abs(fp / ft - 1) > 0.40 or 1100 <= abs(d) <= 1300:
             octaves += 1
-    assert rpa(a) == pytest.approx(hits / n, abs=1e-12)
-    assert gross_error_accuracy(a) == pytest.approx(np.exp(-5 * grosses / n), abs=1e-12)
-    assert octave_accuracy(a) == pytest.approx(np.exp(-10 * octaves / n), abs=1e-12)
-    assert cents_accuracy(a) == pytest.approx(np.exp(-np.mean(abs_cents) / 500), abs=1e-12)
+    r = evaluate(pred, truth)
+    assert r.rpa == pytest.approx(hits / n, abs=1e-12)
+    assert r.gea == pytest.approx(np.exp(-5 * grosses / n), abs=1e-12)
+    assert r.oa == pytest.approx(np.exp(-10 * octaves / n), abs=1e-12)
+    assert r.ca == pytest.approx(np.exp(-np.mean(abs_cents) / 500), abs=1e-12)
+
+
+# A predicted frame's F0 is either an offset in cents from the truth frame's
+# F0 (from 220 Hz where that has none), so that hits and octave errors occur,
+# or a value of its own, usable or not. Truth frames may be flagged voiced
+# with no usable F0.
+PRED_F0 = st.one_of(
+    st.tuples(st.just("cents"), st.floats(-1500.0, 1500.0)),
+    st.tuples(st.just("hz"), st.one_of(
+        st.floats(20.0, 4000.0),
+        st.sampled_from([0.0, -220.0, np.inf, -np.inf, np.nan]))))
+TRUTH_F0 = st.one_of(st.floats(20.0, 4000.0), st.sampled_from([0.0, np.nan]))
+
+
+def usable(f):
+    return math.isfinite(f) and f > 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(PRED_F0, st.booleans()), max_size=60),
+       st.lists(st.tuples(TRUTH_F0, st.booleans()), max_size=60))
+def test_evaluate_matches_frame_by_frame_recount(pred_frames, truth_frames):
+    f_true = [f for f, _ in truth_frames]
+    f_pred = []
+    for i, ((kind, x), _) in enumerate(pred_frames):
+        if kind == "hz":
+            f_pred.append(x)
+        else:
+            base = f_true[i] if i < len(f_true) and usable(f_true[i]) else 220.0
+            f_pred.append(base * 2.0 ** (x / 1200.0))
+    pred = contour(f_pred, [v for _, v in pred_frames])
+    truth = contour(f_true, [v for _, v in truth_frames])
+
+    n_voiced = n_pred = tp = hits = chroma_hits = octaves = grosses = 0
+    abs_cents = []
+    for fp, (_, vp), (ft, vt) in zip(f_pred, pred_frames, truth_frames):
+        n_pred += vp
+        if not (vt and usable(ft)):
+            continue
+        n_voiced += 1
+        tp += vp
+        if not usable(fp):
+            grosses += 1
+            continue
+        d = 1200.0 * math.log2(fp / ft)
+        abs_cents.append(abs(d))
+        hits += abs(d) < 50.0
+        chroma_hits += abs((d + 600.0) % 1200.0 - 600.0) < 50.0
+        grosses += abs(d) >= 200.0
+        octaves += abs(fp / ft - 1.0) > 0.40 or 1100.0 <= abs(d) <= 1300.0
+    if n_voiced == 0 or not abs_cents or n_pred == 0:
+        with pytest.raises(UndefinedMetric):
+            evaluate(pred, truth)
+        return
+
+    p, r = tp / n_pred, tp / n_voiced
+    comps = [hits / n_voiced, math.exp(-sum(abs_cents) / len(abs_cents) / 500.0),
+             p, r, math.exp(-10.0 * octaves / n_voiced),
+             math.exp(-5.0 * grosses / n_voiced)]
+    hm = 0.0 if min(comps) == 0.0 else 6.0 / sum(1.0 / c for c in comps)
+    expected = dict(zip(["rpa", "ca", "precision", "recall", "oa", "gea"], comps),
+                    f1=0.0 if p + r == 0 else 2 * p * r / (p + r),
+                    rca=chroma_hits / n_voiced, hm=hm)
+    got = evaluate(pred, truth).as_dict()
+    assert got.keys() == expected.keys()
+    for name, value in expected.items():
+        assert got[name] == pytest.approx(value, abs=1e-12), name
 
 
 # -- noisy evaluation -------------------------------------------------------
@@ -349,10 +425,13 @@ def test_evaluate_noisy_skips_all_unvoiced_file():
 
 
 def test_align_non_positive_or_infinite_prediction_is_absent():
-    a = align(contour([-5.0, 0.0, np.inf, np.nan, 200.0], voiced=[1, 1, 1, 0, 1]),
-              contour([100.0] * 5))
-    np.testing.assert_array_equal(a.f_pred, [np.nan] * 4 + [200.0])
-    np.testing.assert_array_equal(a.voiced_pred, [1, 1, 1, 0, 1])
+    # such F0s score as no prediction; the frames' voicing flags still count
+    voiced = [1, 1, 1, 0, 1]
+    truth = contour([100.0] * 5)
+    r = evaluate(contour([-5.0, 0.0, np.inf, np.nan, 200.0], voiced=voiced),
+                 truth)
+    assert r == evaluate(contour([np.nan] * 4 + [200.0], voiced=voiced), truth)
+    assert (r.precision, r.recall) == (1.0, 0.8)
 
 
 @pytest.mark.parametrize("bad_f0", [0.0, np.nan])
