@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, FormatError, UnsupportedError
+from .errors import ArgumentError, FormatError
 
 # the rate and frame hop the model was built for; every other rate is
 # resampled to CANONICAL_SR, and contours step HOP_SECONDS (16 ms)
@@ -103,13 +103,13 @@ def read_wav(path) -> AudioBuffer:
     if sample_rate == 0:
         raise FormatError(f"{path}: fmt chunk gives a sample rate of 0")
     if channels != 1:
-        raise UnsupportedError(f"{path}: {channels} channels; only mono is supported")
+        raise FormatError(f"{path}: {channels} channels; only mono is supported")
     if audio_format == 1 and bits == 16:
         dtype, scale = "<i2", 32768.0
     elif audio_format == 3 and bits == 32:
         dtype, scale = "<f4", 1.0
     else:
-        raise UnsupportedError(
+        raise FormatError(
             f"{path}: format={audio_format} bits={bits}; need PCM16 or float32")
     if len(payload) % (bits // 8):
         raise FormatError(f"{path}: data chunk of {len(payload)} bytes is not "
@@ -141,20 +141,18 @@ def write_wav(buf: AudioBuffer, path, dtype: str = "pcm16") -> None:
         fh.write(header + payload)
 
 
-def resample_linear(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
-    """Linearly resample to target_hz; returns buf itself when it is already
-    at target_hz."""
-    if target_hz <= 0:
-        raise ArgumentError("target_hz must be positive")
-    if target_hz == buf.sample_rate_hz:
+def resample_linear(buf: AudioBuffer) -> AudioBuffer:
+    """Linearly resample to CANONICAL_SR; returns buf itself when it is
+    already at CANONICAL_SR."""
+    if buf.sample_rate_hz == CANONICAL_SR:
         return buf
     if len(buf.samples) == 0:
         raise ArgumentError("cannot resample an empty buffer")
-    n_out = int(round(len(buf.samples) * target_hz / buf.sample_rate_hz))
-    t_out = np.arange(n_out) / target_hz
+    n_out = int(round(len(buf.samples) * CANONICAL_SR / buf.sample_rate_hz))
+    t_out = np.arange(n_out) / CANONICAL_SR
     t_in = np.arange(len(buf.samples)) / buf.sample_rate_hz
     out = np.interp(t_out, t_in, buf.samples)
-    return AudioBuffer(out, target_hz)
+    return AudioBuffer(out, CANONICAL_SR)
 
 
 _CSV_HEADER = ["time_sec", "f0_hz", "confidence", "voiced"]

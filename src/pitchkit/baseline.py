@@ -66,7 +66,7 @@ def acf_contour(buf: AudioBuffer) -> PitchContour:
     the lag. A frame of zero energy after its mean is removed has F0 NaN
     and confidence 0. Raises InputTooShort below one WINDOW (`dsp.frames`).
     """
-    framed = frames(resample_linear(buf, CANONICAL_SR).samples)
+    framed = frames(resample_linear(buf).samples)
     t = len(framed)
     f0 = np.full(t, np.nan)
     conf = np.zeros(t)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import baseline, model as net
 from .augment import AugmentConfig
-from .audio_io import (CANONICAL_SR, read_contour_csv, read_wav,
-                       resample_linear, write_contour_csv, write_wav)
+from .audio_io import (read_contour_csv, read_wav, resample_linear,
+                       write_contour_csv, write_wav)
 from .decode import DecoderConfig, decode_contour
 from .dsp import spectrogram
 from .errors import (AlignmentError, ArgumentError, DivergenceError,
@@ -31,7 +31,7 @@ from .errors import (AlignmentError, ArgumentError, DivergenceError,
 from .metrics import EvalReport, evaluate, evaluate_noisy
 from .pipeline import analyze
 from .synth import random_spec, synth_example
-from .train import TrainConfig, train_loop
+from .train import SKIP_REASONS, TrainConfig, train_loop
 
 # (failure, exit code, stderr prefix); the first match wins
 EXIT_CODES = (
@@ -73,7 +73,7 @@ def _load_noise(noise_dir):
         buf = read_wav(path)
         if len(buf.samples) == 0:
             raise ArgumentError(f"noise file {path} has no samples")
-        signals.append(resample_linear(buf, CANONICAL_SR).samples)
+        signals.append(resample_linear(buf).samples)
     return signals
 
 
@@ -120,11 +120,18 @@ def cmd_train(args):
     loss_rows = []
 
     def log(entry):
+        nonlocal last
         # every field of the history entry, in its order; floats to 6 places
         loss_rows.append({k: f"{v:.6f}" if isinstance(v, float) else str(v)
                           for k, v in entry.items()})
-        print(" ".join(f"{k}={v}" for k, v in loss_rows[-1].items()))
+        # wall-clock figures go on the line only, not in the loss CSV
+        now = time.perf_counter()
+        wall_s, last = now - last, now
+        used = len(corpus) - sum(entry[f"skipped_{r}"] for r in SKIP_REASONS)
+        print(" ".join(f"{k}={v}" for k, v in loss_rows[-1].items()),
+              f"wall_s={wall_s:.6f} examples_per_s={used / wall_s:.6f}")
 
+    last = time.perf_counter()
     params, _ = train_loop(corpus, cfg, log_callback=log)
     net.save_params(params, args.out)
     loss_csv = args.loss_csv or str(Path(args.out).with_suffix(".loss.csv"))
@@ -187,7 +194,7 @@ def cmd_bench(args):
     for stage in stages:
         t0 = time.perf_counter()
         with net.one_blas_thread():
-            spec = spectrogram(resample_linear(buf, CANONICAL_SR))
+            spec = spectrogram(resample_linear(buf))
             t1 = time.perf_counter()
             logits = net.forward(params, spec)
         t2 = time.perf_counter()

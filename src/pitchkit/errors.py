@@ -6,15 +6,13 @@ class PitchkitError(Exception):
 
 
 class FormatError(PitchkitError):
-    """File contents do not match the expected on-disk format."""
-
-
-class UnsupportedError(FormatError):
-    """Input is valid but outside what we deliberately support (e.g. multichannel)."""
+    """File contents do not match the expected on-disk format, or are valid
+    but outside what we deliberately support (e.g. multichannel)."""
 
 
 class ArgumentError(PitchkitError):
-    """Invalid argument value."""
+    """Invalid argument: a value, shape or domain the operation cannot take,
+    or a call its inputs do not allow (e.g. a stale cache)."""
 
 
 class RangeError(ArgumentError):
@@ -23,22 +21,6 @@ class RangeError(ArgumentError):
 
 class InputTooShort(PitchkitError):
     """Signal shorter than one analysis window."""
-
-
-class ShapeError(PitchkitError):
-    """Array has the wrong shape for this operation."""
-
-
-class DomainError(PitchkitError):
-    """Value outside the mathematical domain of the operation."""
-
-
-class StateError(PitchkitError):
-    """Operation called with inconsistent internal state (e.g. stale cache)."""
-
-
-class EmptyBatchError(PitchkitError):
-    """Loss requested on a batch with no voiced frames."""
 
 
 class SkipExample(PitchkitError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ArgumentError
 
 F_MIN_HZ = 46.875
 F_MAX_HZ = 2093.75
@@ -24,7 +24,7 @@ def freq_to_bin(f) -> np.ndarray | int:
     """Nearest bin index in log2 space, clamped to the grid range."""
     f = np.asarray(f, dtype=np.float64)
     if np.any(f <= 0):
-        raise DomainError("frequency must be positive")
+        raise ArgumentError("frequency must be positive")
     raw = np.log2(f / F_MIN_HZ) / LOG2_STEP
     b = np.floor(raw + 0.5).astype(np.int64)  # ties away from zero (raw >= 0 or clamped)
     b = np.clip(b, 0, N_BINS - 1)
@@ -36,6 +36,6 @@ def cents_error(f_pred, f_true):
     f_pred = np.asarray(f_pred, dtype=np.float64)
     f_true = np.asarray(f_true, dtype=np.float64)
     if np.any(f_pred <= 0) or np.any(f_true <= 0):
-        raise DomainError("frequencies must be positive")
+        raise ArgumentError("frequencies must be positive")
     out = 1200.0 * np.log2(f_pred / f_true)
     return float(out) if out.ndim == 0 else out

@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio_io import (CANONICAL_SR, AudioBuffer, PitchContour,
-                       resample_linear)
+from .audio_io import AudioBuffer, PitchContour, resample_linear
 from .augment import mix_at_snr, noise_excerpt
 from .errors import (AlignmentError, ArgumentError, SkipExample,
                      UndefinedMetric)
@@ -79,7 +78,9 @@ def evaluate(pred: PitchContour, truth: PitchContour) -> EvalReport:
     voiced_true = truth.voiced[:n] & np.isfinite(f_true) & (f_true > 0.0)
     n_voiced = int(voiced_true.sum())
     if n_voiced == 0:
-        raise UndefinedMetric("no ground-truth voiced frames")
+        raise UndefinedMetric(
+            f"no ground-truth voiced frames in {n} paired frames "
+            f"(prediction {len(pred)} frames, truth {len(truth)})")
     f_pred, f_true = pred.f0_hz[:n][voiced_true], f_true[voiced_true]
     present = np.isfinite(f_pred) & (f_pred > 0.0)
     if not present.any():
@@ -129,7 +130,8 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
     of non-empty arrays of samples at CANONICAL_SR; Gaussian noise is used
     when the list is empty. A file is skipped when it is silent or when its
     metrics are undefined (e.g. no frame predicted voiced); UndefinedMetric
-    is raised only when every file was skipped. A negative seed or a
+    is raised only when every file was skipped, counting both kinds and
+    quoting the last metric failure. A negative seed or a
     non-finite snr_db raises ArgumentError.
     """
     if seed < 0:
@@ -139,9 +141,9 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
     if noise_signals and any(len(src) == 0 for src in noise_signals):
         raise ArgumentError("a noise signal has no samples")
     rng = np.random.default_rng(seed)
-    reports = []
+    reports, silent, undefined, last = [], 0, 0, ""
     for buf, truth in corpus:
-        buf = resample_linear(buf, CANONICAL_SR)
+        buf = resample_linear(buf)
         if noise_signals:
             noise = noise_excerpt(noise_signals, len(buf.samples), rng)
         else:
@@ -149,11 +151,15 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
         try:
             mixed = mix_at_snr(buf.samples, noise, snr_db)
         except SkipExample:
+            silent += 1
             continue
         pred = estimator(AudioBuffer(np.clip(mixed, -1.0, 1.0),
                                      buf.sample_rate_hz))
         try:
             reports.append(evaluate(pred, truth))
-        except UndefinedMetric:
-            continue
+        except UndefinedMetric as exc:
+            undefined, last = undefined + 1, f"; last: {exc}"
+    if not reports:
+        raise UndefinedMetric(f"no file scored: {silent} silent, {undefined} "
+                              f"with undefined metrics{last}")
     return average_reports(reports)

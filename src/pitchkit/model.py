@@ -81,7 +81,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import N_BANDS
-from .errors import FormatError, ShapeError, StateError
+from .errors import ArgumentError, FormatError
 from .grid import N_BINS
 
 CHANNEL_PLAN = [1, 8, 16, 32, 64, 1]
@@ -369,7 +369,7 @@ def forward_batch(p: ModelParams, x: np.ndarray, train: bool = False):
     """
     x = np.asarray(x, dtype=p.dtype)
     if x.ndim != 3 or x.shape[2] != N_BANDS:
-        raise ShapeError(f"expected (B, T, {N_BANDS}), got {x.shape}")
+        raise ArgumentError(f"expected (B, T, {N_BANDS}), got {x.shape}")
     if not train:
         logits, feat = _eval_logits(p, _fold(p), x)
         return logits, {"train": False, "feat": feat}
@@ -395,9 +395,9 @@ def backward_batch(p: ModelParams, cache: dict, d_logits: np.ndarray):
     A ReLU passed the gradient where its output, the next layer's input (or
     the final feature map), is > 0, so no mask is kept from the forward."""
     if not cache.get("train"):
-        raise StateError("backward requires a cache from a train-mode forward")
+        raise ArgumentError("backward requires a cache from a train-mode forward")
     if len(cache["layers"]) != len(p.conv_w):
-        raise StateError("cache does not match this parameter set")
+        raise ArgumentError("cache does not match this parameter set")
     d_logits = np.asarray(d_logits, dtype=p.dtype)
     feat = cache["feat"]
     grads = {}
@@ -434,7 +434,7 @@ def forward(p: ModelParams, values: np.ndarray) -> np.ndarray:
     infinity give."""
     values = np.asarray(values, dtype=p.dtype)
     if values.ndim != 2 or values.shape[1] != N_BANDS:
-        raise ShapeError(f"expected (T, {N_BANDS}), got {values.shape}")
+        raise ArgumentError(f"expected (T, {N_BANDS}), got {values.shape}")
     layers = _fold(p)
     t = len(values)
     logits = np.empty((t, N_BINS), dtype=p.dtype)
@@ -632,8 +632,8 @@ def load_params(path, dtype=np.float32) -> ModelParams:
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != shape:
-            raise ShapeError(f"{path}: {name} has shape "
-                             f"{tensors[name].shape}, not {shape}")
+            raise FormatError(f"{path}: {name} has shape "
+                              f"{tensors[name].shape}, not {shape}")
         return tensors[name]
 
     conv_w, gamma, beta, mean, var = [], [], [], [], []

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from . import model as net
-from .audio_io import CANONICAL_SR, AudioBuffer, PitchContour, resample_linear
+from .audio_io import AudioBuffer, PitchContour, resample_linear
 from .decode import DecoderConfig, decode_contour
 from .dsp import spectrogram
 
@@ -17,7 +17,7 @@ def analyze(buf: AudioBuffer, params: net.ModelParams,
     Raises FormatError when the logits are not all finite, as weights
     holding a NaN or an infinity give (`model.forward`)."""
     dec_cfg = dec_cfg or DecoderConfig()
-    buf = resample_linear(buf, CANONICAL_SR)
+    buf = resample_linear(buf)
     with net.one_blas_thread():
         logits = net.forward(params, spectrogram(buf))
     return decode_contour(logits, dec_cfg)

@@ -15,7 +15,7 @@ from .audio_io import (CANONICAL_SR, HOP, HOP_SECONDS, AudioBuffer,
                        PitchContour, resample_linear)
 from .dsp import WINDOW, batch_spectrogram
 from .errors import AlignmentError, ArgumentError, DivergenceError, SkipExample
-from .grid import F_MIN_HZ, N_BINS, freq_to_bin
+from .grid import N_BINS
 from .losses import loss_total
 from .metrics import HOP_MATCH_S
 
@@ -134,8 +134,7 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
             raise AlignmentError(
                 f"example {i}: truth hop {truth.hop_seconds} s is not the "
                 f"STFT hop {HOP_SECONDS} s")
-    corpus = [(resample_linear(buf, CANONICAL_SR), truth)
-              for buf, truth in corpus]
+    corpus = [(resample_linear(buf), truth) for buf, truth in corpus]
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         params = net.init_params(int(rng.integers(2 ** 31)))
@@ -164,9 +163,6 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                 continue
             f0 = np.stack(f0s)
             mask = np.stack(masks)
-            # frames outside the mask get a dummy target outside the loss
-            f0_safe = np.where(mask, f0, F_MIN_HZ)
-            targets = freq_to_bin(f0_safe.reshape(-1))
             # as in analyze: OpenBLAS's own threads would queue behind the
             # network's two, and spin on after the front-end's GEMMs
             with net.one_blas_thread():
@@ -174,8 +170,7 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                 logits, cache = net.forward_batch(params, spec, train=True)
                 flat = logits.reshape(-1, N_BINS)
                 total, d_flat, ce, cents = loss_total(
-                    flat, targets, f0_safe.reshape(-1), mask.reshape(-1),
-                    lam=cfg.lam)
+                    flat, f0.reshape(-1), mask.reshape(-1), lam=cfg.lam)
                 if not np.isfinite(total):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
                 grads = net.backward_batch(params, cache,

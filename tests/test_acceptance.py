@@ -113,13 +113,11 @@ def test_criterion_04_gradient_check():
 
     def loss_of(p):
         logits, _ = net.forward_batch(p, x, train=True)
-        total, _, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
-                                    mask)
+        total, _, _, _ = loss_total(logits.reshape(-1, 200), f_true, mask)
         return total
 
     logits, cache = net.forward_batch(params, x, train=True)
-    _, d_flat, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
-                                 mask)
+    _, d_flat, _, _ = loss_total(logits.reshape(-1, 200), f_true, mask)
     grads = net.backward_batch(params, cache, d_flat.reshape(logits.shape))
 
     h = 1e-6

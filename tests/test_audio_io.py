@@ -4,7 +4,7 @@ import pytest
 from pitchkit.audio_io import (AudioBuffer, PitchContour, read_contour_csv,
                                read_wav, resample_linear, write_contour_csv,
                                write_wav)
-from pitchkit.errors import ArgumentError, FormatError, UnsupportedError
+from pitchkit.errors import ArgumentError, FormatError
 
 
 def test_read_wav_zero_signal(tmp_path):
@@ -46,7 +46,7 @@ def test_multichannel_rejected(tmp_path):
     header += b"data" + struct.pack("<I", 8)
     path = tmp_path / "st.wav"
     path.write_bytes(header + payload)
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(FormatError):
         read_wav(path)
 
 
@@ -86,14 +86,14 @@ def test_malformed_header(tmp_path):
 
 def test_resample_identity():
     buf = AudioBuffer(np.linspace(-1, 1, 1000), 16000)
-    out = resample_linear(buf, 16000)
+    out = resample_linear(buf)
     assert out is buf
     np.testing.assert_array_equal(out.samples, buf.samples)
 
 
 def test_resample_constant():
     buf = AudioBuffer(np.full(480, 0.5), 48000)
-    out = resample_linear(buf, 16000)
+    out = resample_linear(buf)
     assert np.allclose(out.samples, 0.5)
     assert out.sample_rate_hz == 16000
 
@@ -101,7 +101,7 @@ def test_resample_constant():
 def test_resample_sine_accuracy():
     t48 = np.arange(48000) / 48000
     buf = AudioBuffer(np.sin(2 * np.pi * 100 * t48), 48000)
-    out = resample_linear(buf, 16000)
+    out = resample_linear(buf)
     t16 = np.arange(len(out.samples)) / 16000
     ref = np.sin(2 * np.pi * 100 * t16)
     rms = np.sqrt(np.mean((out.samples - ref) ** 2))
@@ -110,13 +110,8 @@ def test_resample_sine_accuracy():
 
 def test_resample_duration_preserved():
     buf = AudioBuffer(np.zeros(44100), 44100)
-    out = resample_linear(buf, 16000)
+    out = resample_linear(buf)
     assert abs(out.duration_seconds - 1.0) <= 1.0 / 16000
-
-
-def test_resample_bad_rate():
-    with pytest.raises(ArgumentError):
-        resample_linear(AudioBuffer(np.zeros(10), 16000), 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])

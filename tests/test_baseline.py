@@ -13,7 +13,7 @@ from pitchkit.synth import SynthSpec, random_spec, synth_example
 def loop_acf(buf):
     """The per-frame reference: a direct O(N^2) autocorrelation of each
     mean-removed frame, its peak over the pitch lags and the parabola."""
-    x = resample_linear(buf, CANONICAL_SR).samples
+    x = resample_linear(buf).samples
     n, h, sr = WINDOW, HOP, CANONICAL_SR
     lag_min = max(int(np.floor(sr / F_MAX_HZ)), 2)
     lag_max = min(int(np.ceil(sr / F_MIN_HZ)), n - 2)

@@ -46,3 +46,10 @@ def test_committed_history_prints(capsys):
     assert _tool().main([]) == 0
     out = capsys.readouterr().out
     assert "BENCH_9.json" in out and "audio_s_per_s" in out
+    lines = out.splitlines()
+    header = next(line.split() for line in lines if line.startswith("file"))
+    assert header[-2:] == ["probe_gemm_gmac_per_s", "probe_copy_gb_per_s"]
+    # files from before the probe have no probe medians
+    for name in ("BENCH_9.json", "BENCH_27.json"):
+        rows = [line.split() for line in lines if line.startswith(name)]
+        assert rows and all(row[-2:] == ["-", "-"] for row in rows)

@@ -88,3 +88,38 @@ def test_main_rewrites_the_file_after_every_pair(tmp_path, monkeypatch):
     # the second pair's runs saw the file the first pair left
     assert seen[-1]["clips"] == {"pairs": 0,
                                  "failed_runs": {"parent": 0, "change": 1}}
+
+
+def test_every_run_records_the_probe_even_when_it_fails(tmp_path, monkeypatch):
+    tool = _tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": name, "better": b} for name, b in BETTER.items()]}))
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(tool, "run_one",
+                        lambda checkout, *args: (1, FAILED_CHECK))
+    assert tool.main([str(parent), str(change), "--out", str(out),
+                      "--runs", "clips=1-2"]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert len(runs) == 4
+    for r in runs:  # the real probe, in its own process
+        assert r["probe"]["gemm_gmac_per_s"] > 0
+        assert r["probe"]["copy_gb_per_s"] > 0
+
+
+def test_summary_gives_probe_medians_and_the_normalised_view():
+    runs = []
+    for seed, gmac in ((1, 10.0), (2, 20.0)):
+        for side, audio in (("parent", 20.0), ("change", 30.0)):
+            r = run(seed, side, 0, result(1e-4, audio))
+            r["probe"] = {"gemm_gmac_per_s": gmac, "copy_gb_per_s": 5.0}
+            runs.append(r)
+    row = _tool().summary(runs, BETTER)["clips"]
+    assert row["probe_gemm_gmac_per_s"]["parent"]["median"] == 15.0
+    assert row["probe_copy_gb_per_s"]["change"]["median"] == 5.0
+    view = row["audio_s_per_s_per_probe_gmac"]
+    assert view["parent"]["median"] == 1.5   # 20/10 and 20/20
+    assert view["change"]["median"] == 2.25  # 30/10 and 30/20
+    assert row["audio_s_per_s"]["change"]["median"] == 30.0

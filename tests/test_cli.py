@@ -123,6 +123,22 @@ def test_non_finite_weights_exit_2(workdir, capsys, value):
     assert "repeats=" not in captured.out
 
 
+def test_wrong_shaped_weights_exit_2(workdir, capsys):
+    # the fault is in the file: it used to exit 1
+    params = net.init_params(0)
+    params.proj_b = params.proj_b[:199]
+    weights = workdir / "badshape.bin"
+    net.save_params(params, weights)
+    line = f"error: {weights}: proj.bias has shape (199,), not (200,)\n"
+    wav, truth = str(workdir / "tone.wav"), str(workdir / "tone.csv")
+    for args in (["analyze", wav, str(weights), str(workdir / "never.csv")],
+                 ["noisy", wav, str(weights), truth],
+                 ["bench", wav, str(weights), "--repeats", "1"]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
+
+
 def test_analyze_missing_wav(workdir):
     rc = main(["analyze", str(workdir / "nope.wav"),
                str(workdir / "w.bin"), str(workdir / "x.csv")])
@@ -157,6 +173,23 @@ def test_train_end_to_end(workdir):
     assert loss_csv[1].startswith("0,") and loss_csv[1].split(",")[4] == "1"
     params = net.load_params(out)
     assert net.count_params(params) == net.count_params(net.init_params(0))
+
+
+def test_train_line_reports_wall_time_and_throughput(workdir, tone_manifest,
+                                                     capsys):
+    out = workdir / "tone_trained.bin"
+    assert main(["train", str(tone_manifest), str(out), "--epochs", "2",
+                 "--batch", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split())
+        assert list(fields)[-2:] == ["wall_s", "examples_per_s"]
+        assert float(fields["wall_s"]) > 0
+        assert float(fields["examples_per_s"]) > 0
+    # wall-clock figures stay out of the loss CSV
+    header = out.with_suffix(".loss.csv").read_text().splitlines()[0]
+    assert "wall_s" not in header and "examples_per_s" not in header
 
 
 @pytest.fixture
@@ -251,7 +284,7 @@ def test_noisy_mixes_noise_file_at_canonical_rate(workdir, tmp_path):
                    noise_signals=_load_noise(tmp_path))
     (mixed,) = seen
     added = (mixed.samples
-             - resample_linear(clean, mixed.sample_rate_hz).samples)
+             - resample_linear(clean).samples)
     spectrum = np.abs(np.fft.rfft(added))
     bin_hz = mixed.sample_rate_hz / len(added)
     assert abs(np.argmax(spectrum) * bin_hz - 1000.0) <= bin_hz
@@ -334,6 +367,16 @@ def test_eval_alignment_failure(workdir):
     assert rc == 4
 
 
+def test_eval_empty_prediction_names_the_lengths(workdir, capsys):
+    # the truth has 59 voiced frames; it used to be blamed alone
+    empty = workdir / "empty_pred.csv"
+    empty.write_text("time_sec,f0_hz,confidence,voiced\n")
+    assert main(["eval", str(empty), str(workdir / "tone.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: no ground-truth voiced frames in 0 paired frames "
+        "(prediction 0 frames, truth 59)\n")
+
+
 def test_eval_late_start_contour_rejected(workdir, capsys):
     # an exact prediction whose rows start at 0.48 s (frame 30): scoring it
     # frame by frame against the truth would pair every frame with the
@@ -413,6 +456,15 @@ def test_noisy_non_finite_snr_exits_1(workdir, capsys, snr):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "snr_db must be finite" in err and "Traceback" not in err
+
+
+def test_noisy_silent_wav_says_why_nothing_was_scored(workdir, capsys):
+    silent = workdir / "silent.wav"
+    write_wav(AudioBuffer(np.zeros(16000), 16000), silent)
+    assert main(["noisy", str(silent), str(workdir / "w.bin"),
+                 str(workdir / "tone.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: no file scored: 1 silent, 0 with undefined metrics\n")
 
 
 def test_eval_wav_exits_2(workdir, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pitchkit.errors import DomainError
+from pitchkit.errors import ArgumentError
 from pitchkit import grid
 from pitchkit.grid import cents_error
 
@@ -39,7 +39,7 @@ def test_freq_to_bin_round_trip_all_bins():
 
 
 def test_freq_to_bin_nonpositive():
-    with pytest.raises(DomainError):
+    with pytest.raises(ArgumentError):
         grid.freq_to_bin(0.0)
 
 
@@ -50,7 +50,7 @@ def test_cents_error_basic():
 
 
 def test_cents_error_nonpositive():
-    with pytest.raises(DomainError):
+    with pytest.raises(ArgumentError):
         cents_error(-1.0, 440.0)
 
 

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from pitchkit.errors import EmptyBatchError
+from pitchkit.errors import ArgumentError
 from pitchkit import grid
 from pitchkit.losses import loss_total, softmax_rows
 
 
 
 def ce_only(logits, targets, mask):
-    """(ce, d_ce) from loss_total with lam = 0; f_true is then unused."""
-    return loss_total(logits, targets, np.ones(len(targets)), mask,
-                      lam=0.0)[:2]
+    """(ce, d_ce) from loss_total with lam = 0, each true F0 at the centre
+    of its target bin."""
+    return loss_total(logits, grid.CENTERS[targets], mask, lam=0.0)[:2]
 
 
 def fd_check(loss_fn, logits, tol=1e-5):
@@ -44,7 +44,7 @@ def test_ce_perfect_prediction():
 
 
 def test_ce_no_voiced():
-    with pytest.raises(EmptyBatchError):
+    with pytest.raises(ArgumentError, match="no voiced frames"):
         ce_only(np.zeros((2, 200)), [0, 0], np.zeros(2, bool))
 
 
@@ -59,7 +59,7 @@ def test_ce_gradient_fd():
 def test_cents_delta_on_true_bin():
     z = np.zeros((1, 200))
     z[0, 50] = 500.0
-    *_, loss = loss_total(z, [50], [grid.CENTERS[50]], np.ones(1, bool))
+    *_, loss = loss_total(z, [grid.CENTERS[50]], np.ones(1, bool))
     assert loss < 1e-9
 
 
@@ -69,7 +69,7 @@ def test_cents_split_mass_geometric_midpoint():
     z[0, 199] = 0.0
     mid = np.sqrt(grid.F_MIN_HZ * grid.F_MAX_HZ)
     assert mid == pytest.approx(313.2803, abs=1e-3)
-    *_, loss = loss_total(z, [0], [mid], np.ones(1, bool))
+    *_, loss = loss_total(z, [mid], np.ones(1, bool))
     assert loss < 1e-9
 
 
@@ -78,14 +78,15 @@ def test_cents_gradient_fd():
     # term's gradient to it
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 200))
-    targets = rng.integers(0, 200, 4)
     f_true = rng.uniform(100, 1000, 4)
     mask = np.ones(4, bool)
-    fd_check(lambda zz: loss_total(zz, targets, f_true, mask, lam=1.0)[:2], z)
+    fd_check(lambda zz: loss_total(zz, f_true, mask, lam=1.0)[:2], z)
 
 
-def reference_terms(z, targets, f_true, mask):
-    """(ce, d_ce, cents, d_cents) by the textbook formulas, as an oracle."""
+def reference_terms(z, f_true, mask):
+    """(ce, d_ce, cents, d_cents) by the textbook formulas, as an oracle;
+    each frame's target is the bin nearest its true F0."""
+    targets = grid.freq_to_bin(f_true)
     p = softmax_rows(z)
     rows = np.flatnonzero(mask)
     n = len(rows)
@@ -108,8 +109,8 @@ def test_total_zero_lambda_equals_ce():
     targets = rng.integers(0, 200, 4)
     f_true = grid.CENTERS[targets]
     mask = np.ones(4, bool)
-    ce, d_ce, _, _ = reference_terms(z, targets, f_true, mask)
-    total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask, lam=0.0)
+    ce, d_ce, _, _ = reference_terms(z, f_true, mask)
+    total, d, ce_out, cents_out = loss_total(z, f_true, mask, lam=0.0)
     assert total == ce_out == ce and cents_out == 0.0
     np.testing.assert_array_equal(d, d_ce)
 
@@ -117,11 +118,10 @@ def test_total_zero_lambda_equals_ce():
 def test_total_additivity():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((4, 200))
-    targets = rng.integers(0, 200, 4)
     f_true = rng.uniform(100, 1000, 4)
     mask = np.ones(4, bool)
-    ce, d_ce, cents, d_cents = reference_terms(z, targets, f_true, mask)
-    total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask)
+    ce, d_ce, cents, d_cents = reference_terms(z, f_true, mask)
+    total, d, ce_out, cents_out = loss_total(z, f_true, mask)
     assert total == pytest.approx(ce + cents, abs=1e-9)
     np.testing.assert_allclose(d, d_ce + d_cents, atol=1e-12)
 
@@ -148,14 +148,28 @@ def test_total_equals_separate_terms(lam):
     # the shared softmax must leave both terms as the textbook formulas give
     rng = np.random.default_rng(6)
     z = rng.standard_normal((12, 200)) * 3
-    targets = rng.integers(0, 200, 12)
     f_true = rng.uniform(100, 1000, 12)
     mask = rng.random(12) < 0.7
-    ce, d_ce, cents, d_cents = reference_terms(z, targets, f_true, mask)
-    total, d, ce_out, cents_out = loss_total(z, targets, f_true, mask,
-                                             lam=lam)
+    ce, d_ce, cents, d_cents = reference_terms(z, f_true, mask)
+    total, d, ce_out, cents_out = loss_total(z, f_true, mask, lam=lam)
     assert abs(ce_out - ce) <= 1e-12
     if lam:
         assert abs(cents_out - cents) <= 1e-12
     assert abs(total - (ce + lam * cents)) <= 1e-12
     assert np.abs(d - (d_ce + lam * d_cents)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("unused", [np.nan, 0.0, -220.0, np.inf])
+def test_f0_outside_mask_is_never_read(unused):
+    # frames outside the mask may hold any F0: the loss, its gradient and
+    # its warnings are those of a valid F0 there
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((6, 200))
+    f_true = rng.uniform(100, 1000, 6)
+    mask = np.array([True, False, True, True, False, True])
+    expected = loss_total(z, f_true, mask)
+    f_true[~mask] = unused
+    with np.errstate(all="raise"):
+        got = loss_total(z, f_true, mask)
+    assert got[0] == expected[0] and got[2:] == expected[2:]
+    np.testing.assert_array_equal(got[1], expected[1])

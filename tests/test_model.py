@@ -11,7 +11,7 @@ import pytest
 
 from pitchkit import model as net
 from pitchkit.audio_io import AudioBuffer
-from pitchkit.errors import FormatError, ShapeError, StateError
+from pitchkit.errors import ArgumentError, FormatError
 from pitchkit import grid
 from pitchkit.losses import loss_total, softmax_rows
 from pitchkit.pipeline import analyze
@@ -23,13 +23,12 @@ def random_batch(rng, frames=4):
     targets = rng.integers(0, 200, frames)
     f_true = grid.CENTERS[targets] * 2.0 ** rng.uniform(-0.01, 0.01, frames)
     mask = np.ones(frames, dtype=bool)
-    return x, targets, f_true, mask
+    return x, f_true, mask
 
 
-def total_loss(params, x, targets, f_true, mask):
+def total_loss(params, x, f_true, mask):
     logits, cache = net.forward_batch(params, x, train=True)
-    total, d, _, _ = loss_total(logits.reshape(-1, 200), targets, f_true,
-                                mask)
+    total, d, _, _ = loss_total(logits.reshape(-1, 200), f_true, mask)
     return total, d.reshape(logits.shape), cache
 
 
@@ -74,7 +73,7 @@ def test_forward_shape_and_error():
     p = net.init_params(2)
     logits = net.forward(p, np.random.default_rng(0).standard_normal((7, 132)))
     assert logits.shape == (7, 200)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ArgumentError):
         net.forward(p, np.zeros((4, 100)))
 
 
@@ -111,7 +110,7 @@ def test_backward_requires_train_cache():
     p = net.init_params(5)
     x = np.random.default_rng(0).standard_normal((1, 4, 132))
     _, cache = net.forward_batch(p, x, train=False)
-    with pytest.raises(StateError):
+    with pytest.raises(ArgumentError):
         net.backward_batch(p, cache, np.zeros((1, 4, 200)))
 
 
@@ -119,8 +118,8 @@ def test_gradients_match_finite_differences():
     # central differences; h small enough that no ReLU/abs kink is crossed
     rng = np.random.default_rng(1)
     p = net.init_params(7, dtype=np.float64)
-    x, targets, f_true, mask = random_batch(rng)
-    _, d, cache = total_loss(p, x, targets, f_true, mask)
+    x, f_true, mask = random_batch(rng)
+    _, d, cache = total_loss(p, x, f_true, mask)
     grads = net.backward_batch(p, cache, d)
     h = 1e-6
     for name, arr in p.trainable().items():
@@ -132,9 +131,9 @@ def test_gradients_match_finite_differences():
         for j, idx in enumerate(idxs):
             orig = arr[idx]
             arr[idx] = orig + h
-            lp, _, _ = total_loss(p, x, targets, f_true, mask)
+            lp, _, _ = total_loss(p, x, f_true, mask)
             arr[idx] = orig - h
-            lm, _, _ = total_loss(p, x, targets, f_true, mask)
+            lm, _, _ = total_loss(p, x, f_true, mask)
             arr[idx] = orig
             fd[j] = (lp - lm) / (2 * h)
             an[j] = grads[name][idx]
@@ -148,8 +147,8 @@ def test_masked_channel_gradient_zero():
     rng = np.random.default_rng(9)
     p = net.init_params(11, dtype=np.float64)
     p.bn_beta[0][0] = -100.0
-    x, targets, f_true, mask = random_batch(rng)
-    _, d, cache = total_loss(p, x, targets, f_true, mask)
+    x, f_true, mask = random_batch(rng)
+    _, d, cache = total_loss(p, x, f_true, mask)
     grads = net.backward_batch(p, cache, d)
     assert np.all(grads["bn0.gamma"][0] == 0.0)
     assert np.all(grads["conv0.weight"][0] == 0.0)

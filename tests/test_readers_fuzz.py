@@ -1,5 +1,6 @@
 """Fuzz the three file readers: any input either loads or raises a
-PitchkitError, never a bare Python or numpy exception."""
+FormatError, never another toolkit error or a bare Python or numpy
+exception, so the CLI exits 2 on every bad file."""
 import struct
 import tempfile
 from functools import lru_cache
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pitchkit import model as net
 from pitchkit.audio_io import read_contour_csv, read_wav
-from pitchkit.errors import PitchkitError
+from pitchkit.errors import FormatError
 
 
 def load_or_typed_error(reader, data: bytes):
@@ -18,7 +19,7 @@ def load_or_typed_error(reader, data: bytes):
         path.write_bytes(data)
         try:
             reader(path)
-        except PitchkitError:
+        except FormatError:
             pass
 
 

@@ -3,9 +3,10 @@
     python3 tools/bench_history.py
 
 One row per file (by the number in its name) and workload; one column per
-end-to-end metric of BENCHMARK.json, in its order, each cell the parent's
-median -> the change's. A cell is `-` where a file has no median for the
-metric. The files are only read.
+end-to-end metric of BENCHMARK.json, in its order, then the host probe's
+medians that tools/bench_pairs.py records, each cell the parent's median ->
+the change's. A cell is `-` where a file has no median for the metric (files
+from before the probe have none for it). The files are only read.
 """
 import argparse
 import json
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PROBE_COLUMNS = ["probe_gemm_gmac_per_s", "probe_copy_gb_per_s"]
 HEADER = ("# Medians, parent -> change. The host's speed drifts over time "
           "(ROADMAP.md, \"This host\"):\n# compare speed only inside one "
           "file, never down a column.")
@@ -49,7 +51,7 @@ def table(paths, metrics):
 def main(argv=None):
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    metrics = [m["name"] for m in benchmark["end_to_end"]] + PROBE_COLUMNS
     print(table(ROOT.glob("BENCH_*.json"), metrics))
     return 0
 

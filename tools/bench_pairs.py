@@ -15,6 +15,13 @@ quartiles, and how many pairs the change won (by the metric's direction in
 BENCHMARK.json; ties count for neither side). A run that exits nonzero,
 prints no result or prints `"correct": false` is left out together with its
 pair, and counted per side under `failed_runs`.
+
+Before each run a fresh process with OpenBLAS on one thread times the host:
+a 1024^3 float32 GEMM (GMAC/s) and a 64 MB copy (GB/s), best of 3 each. The
+run records it as `probe`, failed runs too. The summary gives each side's
+probe quartiles (`probe_gemm_gmac_per_s`, `probe_copy_gb_per_s`) and, beside
+the raw figure, `audio_s_per_s_per_probe_gmac`: audio s/s over the run's
+probe GMAC/s, a view that a change in the host's speed moves less.
 """
 import argparse
 import json
@@ -25,6 +32,26 @@ import sys
 import numpy as np
 
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace T"
+SIDES = ("parent", "change")
+PROBE = """
+import json, time
+import numpy as np
+
+def best(fn):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+a = np.ones((1024, 1024), np.float32)
+src = np.ones(1 << 24, np.float32)  # 64 MB
+dst = np.empty_like(src)
+print(json.dumps({
+    "gemm_gmac_per_s": 1024 ** 3 / best(lambda: a @ a) / 1e9,
+    "copy_gb_per_s": src.nbytes / best(lambda: np.copyto(dst, src)) / 1e9}))
+"""
 
 
 def seed_range(text):
@@ -48,6 +75,19 @@ def run_one(checkout, workload, seed, seconds, trace):
     return proc.returncode, result if isinstance(result, dict) else None
 
 
+def probe():
+    """The host's speed just before a run, as PROBE measures it; None when
+    the probe fails."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    try:
+        return json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        return None
+
+
 def host():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpus = len(os.sched_getaffinity(0))
@@ -66,10 +106,15 @@ def succeeded(run):
             and run["result"].get("correct") is True)
 
 
+def value(run, metric):
+    return run["result"]["metrics"][metric]["value"]
+
+
 def summary(runs, better):
     """Per workload: each metric's quartiles per side and the change's wins
     over the untraced pairs in which both sides succeeded, and the runs of
-    each side that did not."""
+    each side that did not; the probe's quartiles when every run of those
+    pairs has one."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if not r["trace"]):
         pairs = {}
@@ -78,7 +123,7 @@ def summary(runs, better):
             if r["workload"] != workload or r["trace"]:
                 continue
             if succeeded(r):
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+                pairs.setdefault(r["seed"], {})[r["side"]] = r
             else:
                 failed[r["side"]] += 1
         pairs = [p for _, p in sorted(pairs.items()) if len(p) == 2]
@@ -88,15 +133,25 @@ def summary(runs, better):
             continue
         wins = {}
         for metric, direction in better.items():
-            sides = {side: [p[side][metric]["value"] for p in pairs]
-                     for side in ("parent", "change")}
+            sides = {side: [value(p[side], metric) for p in pairs]
+                     for side in SIDES}
             row[metric] = {side: quartiles(v) for side, v in sides.items()}
             sign = 1 if direction == "higher" else -1
             won = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
             wins[metric] = f"{won}/{len(pairs)}"
         row["change_wins"] = wins
-        row["setup_s_per_run"] = {side: [p[side]["setup_s"]["value"] for p in pairs]
-                                  for side in ("parent", "change")}
+        row["setup_s_per_run"] = {side: [value(p[side], "setup_s") for p in pairs]
+                                  for side in SIDES}
+        if not all(p[side].get("probe") for p in pairs for side in SIDES):
+            continue
+        for key in ("gemm_gmac_per_s", "copy_gb_per_s"):
+            row[f"probe_{key}"] = {
+                side: quartiles([p[side]["probe"][key] for p in pairs])
+                for side in SIDES}
+        row["audio_s_per_s_per_probe_gmac"] = {
+            side: quartiles([value(p[side], "audio_s_per_s")
+                             / p[side]["probe"]["gemm_gmac_per_s"] for p in pairs])
+            for side in SIDES}
     return out
 
 
@@ -127,13 +182,15 @@ def main(argv=None):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for ran, side in enumerate(order, 1):
             checkout = args.parent_dir if side == "parent" else args.change_dir
+            host_probe = probe()
             code, result = run_one(checkout, workload, seed, args.seconds, trace)
             doc["runs"].append({"workload": workload, "seed": seed, "trace": trace,
                                 "side": side, "ran": ran, "returncode": code,
-                                "result": result})
+                                "result": result, "probe": host_probe})
             value = result["metrics"].get("audio_s_per_s", {}).get("value") if result else None
             print(f"{workload} seed {seed} trace {trace} {side}: rc {code} "
-                  f"audio_s_per_s {value}", file=sys.stderr, flush=True)
+                  f"audio_s_per_s {value} probe {host_probe}", file=sys.stderr,
+                  flush=True)
         doc["summary"] = summary(doc["runs"], better)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
