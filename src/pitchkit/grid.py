@@ -20,11 +20,15 @@ CENTERS = F_MIN_HZ * 2.0 ** (np.arange(N_BINS) * LOG2_STEP)
 CENTERS.flags.writeable = False
 
 
+def _finite_positive(*fs) -> bool:
+    return all(np.all(np.isfinite(f) & (f > 0)) for f in fs)
+
+
 def freq_to_bin(f) -> np.ndarray | int:
     """Nearest bin index in log2 space, clamped to the grid range."""
     f = np.asarray(f, dtype=np.float64)
-    if np.any(f <= 0):
-        raise ArgumentError("frequency must be positive")
+    if not _finite_positive(f):
+        raise ArgumentError("frequency must be finite and positive")
     raw = np.log2(f / F_MIN_HZ) / LOG2_STEP
     b = np.floor(raw + 0.5).astype(np.int64)  # ties away from zero (raw >= 0 or clamped)
     b = np.clip(b, 0, N_BINS - 1)
@@ -35,7 +39,7 @@ def cents_error(f_pred, f_true):
     """Signed pitch error in cents: 1200*log2(f_pred/f_true)."""
     f_pred = np.asarray(f_pred, dtype=np.float64)
     f_true = np.asarray(f_true, dtype=np.float64)
-    if np.any(f_pred <= 0) or np.any(f_true <= 0):
-        raise ArgumentError("frequencies must be positive")
+    if not _finite_positive(f_pred, f_true):
+        raise ArgumentError("frequencies must be finite and positive")
     out = 1200.0 * np.log2(f_pred / f_true)
     return float(out) if out.ndim == 0 else out

@@ -13,12 +13,15 @@ so that every layer runs as a few large BLAS calls:
 - layer 4 (c_out = 1) is one GEMM from the padded input to 25 tap maps,
   (25, c_in) @ input^T, followed by 25 shifted adds; as shifted taps each
   matmul would have one output channel;
-- layers 1-3 are 25 shifted-tap matmuls over the zero-padded input, which
-  already have enough channels on both sides and need no patch matrix.
+- layers 1-3 run on a row window of the input, zero-padded with channels
+  before frequency: output row r reads padded rows r..r+4, a view that is an
+  (f + 4, 5 * c_in) matrix per row, and takes one GEMM per tap column j with
+  K = 5 * c_in over its rows j..j+f; 25 shifted-tap matmuls with K = c_in
+  ran far below BLAS speed, and no patch matrix is copied.
 
 The backward pass reuses these kernels. dx of a layer is the forward conv of
 its output gradient with the spatially flipped, channel-transposed kernel,
-so layer 4's dx runs as the im2col GEMM and layers 1-3 on the shifted taps;
+so layer 4's dx runs as the im2col GEMM and layers 1-3's on the row window;
 layer 0's, the spectrogram's gradient, is not computed. dw puts the output
 gradient in the top-left corner of a zero grid the size of the padded input.
 Flattened to rows of channels, tap (i, j) is then a GEMM of the gradient
@@ -212,14 +215,21 @@ def _conv_tap_maps(x, w, bias):
 
 
 def _conv_shifted_taps(x, w, bias):
-    """25 shifted batched matmuls over the zero-padded input, one per tap."""
-    b, t, f, _ = x.shape
-    xp = _pad_spatial(x)
-    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (5, 5, c_in, c_out)
-    out = np.broadcast_to(bias, (b, t, f, w.shape[0])).copy()
-    for i in range(KERNEL):
-        for j in range(KERNEL):
-            out += xp[:, i:i + t, j:j + f, :] @ wt[i, j]
+    """Five batched matmuls over a row window of the zero-padded input, one
+    per tap column j, each with K = 5 * c_in: out[r] = bias +
+    sum_j win[r, j:j + f] @ wj[j]."""
+    b, t, f, c_in = x.shape
+    xp = np.zeros((b, t + 2 * PAD, c_in, f + 2 * PAD), dtype=x.dtype)
+    xp[:, PAD:PAD + t, :, PAD:PAD + f] = x.transpose(0, 1, 3, 2)
+    # a view: row r's (f + 4, 5 * c_in) matrix has unit stride along
+    # frequency and stride f + 4 along (kernel row i, channel c)
+    win = sliding_window_view(xp, KERNEL, axis=1).transpose(0, 1, 3, 4, 2)
+    win = win.reshape(b, t, f + 2 * PAD, KERNEL * c_in)
+    wj = w.transpose(3, 2, 1, 0).reshape(KERNEL, KERNEL * c_in, len(w))
+    out = win[:, :, :f] @ wj[0]
+    for j in range(1, KERNEL):
+        out += win[:, :, j:j + f] @ wj[j]
+    out += bias
     return out
 
 

@@ -123,3 +123,59 @@ def test_summary_gives_probe_medians_and_the_normalised_view():
     assert view["parent"]["median"] == 1.5   # 20/10 and 20/20
     assert view["change"]["median"] == 2.25  # 30/10 and 30/20
     assert row["audio_s_per_s"]["change"]["median"] == 30.0
+
+
+def test_failed_operations_of_a_correct_run_are_counted_and_kept(tmp_path,
+                                                                 monkeypatch):
+    # perfbench counts an operation that raised and carries on: the run is
+    # correct, still pairs, and its lines and counts must show
+    tool = _tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+    better = {**BETTER, "peak_rss_mb": "lower"}
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": name, "better": b} for name, b in better.items()]}))
+    out = tmp_path / "pairs.json"
+    line = "perfbench: clip007: FormatError: clip007.wav: truncated"
+
+    def fake_run_one(checkout, workload, seed, seconds, trace):
+        res = result(2e-4, 20.0 + seed)
+        res["metrics"]["peak_rss_mb"] = {"value": 100.0 + seed}
+        if checkout == str(change) and seed == 1:
+            res["failed"] = 2
+            return 0, res, [line, line]
+        return 0, res, []
+
+    monkeypatch.setattr(tool, "run_one", fake_run_one)
+    monkeypatch.setattr(tool, "probe", lambda: None)
+    assert tool.main([str(parent), str(change), "--out", str(out),
+                      "--runs", "clips=1-2"]) == 0
+    doc = json.loads(out.read_text())
+    lines = {(r["seed"], r["side"]): r["failed_op_lines"] for r in doc["runs"]}
+    assert lines == {(1, "parent"): [], (1, "change"): [line, line],
+                     (2, "parent"): [], (2, "change"): []}
+    row = doc["summary"]["clips"]
+    assert row["pairs"] == 2
+    assert row["failed_runs"] == {"parent": 0, "change": 0}
+    assert row["failed_ops"] == {
+        "parent": {"failed": 0, "attempted": 10, "share": 0.0},
+        "change": {"failed": 2, "attempted": 10, "share": 0.2}}
+    assert row["peak_rss_mb_per_run"] == {"parent": [101.0, 102.0],
+                                          "change": [101.0, 102.0]}
+
+
+def test_run_one_keeps_only_the_failed_operation_lines(tmp_path):
+    # a stand-in perfbench/run.py that prints what perfbench prints
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "print('perfbench: clips seed=1 cpus=2', file=sys.stderr)\n"
+        "print('perfbench: clip003: FormatError: bad header', file=sys.stderr)\n"
+        "print('perfbench: round seconds [0.5]', file=sys.stderr)\n"
+        "print('perfbench: check failed: hm 0.1', file=sys.stderr)\n"
+        "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 1, "
+        "'metrics': {}}))\n")
+    code, res, lines = _tool().run_one(str(tmp_path), "clips", 1, 1, 0)
+    assert code == 0 and res["failed"] == 1
+    assert lines == ["perfbench: clip003: FormatError: bad header"]

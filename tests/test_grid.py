@@ -43,6 +43,16 @@ def test_freq_to_bin_nonpositive():
         grid.freq_to_bin(0.0)
 
 
+@pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf])
+def test_freq_to_bin_non_finite(f):
+    # NaN used to land in bin 0 with a RuntimeWarning, inf in bin 199
+    with np.errstate(all="raise"):
+        with pytest.raises(ArgumentError, match="must be finite and positive"):
+            grid.freq_to_bin(f)
+        with pytest.raises(ArgumentError, match="must be finite and positive"):
+            grid.freq_to_bin([220.0, f])
+
+
 def test_cents_error_basic():
     assert cents_error(440.0, 440.0) == 0.0
     assert cents_error(880.0, 440.0) == pytest.approx(1200.0, abs=1e-9)
@@ -52,6 +62,15 @@ def test_cents_error_basic():
 def test_cents_error_nonpositive():
     with pytest.raises(ArgumentError):
         cents_error(-1.0, 440.0)
+
+
+@pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf])
+def test_cents_error_non_finite(f):
+    # NaN used to give nan cents and inf infinite cents
+    with np.errstate(all="raise"):
+        for args in ((f, 220.0), (220.0, f), ([220.0, f], [220.0, 220.0])):
+            with pytest.raises(ArgumentError, match="must be finite and positive"):
+                cents_error(*args)
 
 
 @given(st.floats(min_value=1.0, max_value=4000.0),

@@ -173,3 +173,11 @@ def test_f0_outside_mask_is_never_read(unused):
         got = loss_total(z, f_true, mask)
     assert got[0] == expected[0] and got[2:] == expected[2:]
     np.testing.assert_array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("f0", [np.nan, np.inf, -np.inf])
+def test_non_finite_f0_on_a_voiced_row_is_refused(f0):
+    # it used to give a nan or infinite loss with no typed error
+    with np.errstate(all="raise"):
+        with pytest.raises(ArgumentError, match="must be finite and positive"):
+            loss_total(np.zeros((2, 200)), [f0, 220.0], [True, True])

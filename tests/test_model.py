@@ -267,6 +267,48 @@ def test_conv_backward_matches_direct_sum(layer, dtype):
                       <= 64 * np.finfo(dtype).eps * abs_sum), name
 
 
+@pytest.mark.parametrize("t", [1, 9])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", [1, 2, 3])
+def test_shifted_taps_batch_elements_match_single_calls(layer, dtype, t):
+    # a row's GEMMs depend on neither b nor t, so each element of a batch
+    # gets the bits of its own b = 1 call, forward and dx alike
+    rng = np.random.default_rng(20 + layer)
+    c_in, c_out = net.CHANNEL_PLAN[layer], net.CHANNEL_PLAN[layer + 1]
+    x = rng.standard_normal((3, t, 21, c_in)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, net.KERNEL, net.KERNEL)).astype(dtype)
+    bias = rng.standard_normal(c_out).astype(dtype)
+    d = rng.standard_normal((3, t, 21, c_out)).astype(dtype)
+    out = net._conv_forward(x, w, bias)
+    dx, _ = net._conv_backward(x, w, d)
+    for k in range(3):
+        assert np.array_equal(out[k], net._conv_forward(x[k:k + 1], w, bias)[0])
+        assert np.array_equal(dx[k], net._conv_backward(x[k:k + 1], w,
+                                                         d[k:k + 1])[0][0])
+
+
+def test_shifted_taps_make_no_window_copy():
+    # the row window is a view of the padded input: the call holds the
+    # padded input, the output and one product; a copied window would add
+    # about twice the output again
+    rng = np.random.default_rng(0)
+    b, t, f, c_in, c_out = 1, 148, 132, 32, 64
+    x = rng.standard_normal((b, t, f, c_in), dtype=np.float32)
+    w = rng.standard_normal((c_out, c_in, net.KERNEL, net.KERNEL),
+                            dtype=np.float32)
+    bias = np.zeros(c_out, dtype=np.float32)
+    padded = b * (t + 2 * net.PAD) * (f + 2 * net.PAD) * c_in * 4
+    output = b * t * f * c_out * 4
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        net._conv_shifted_taps(x, w, bias)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= padded + 2.2 * output
+
+
 def reference_bn_forward(x, gamma, beta, run_mean, run_var, train):
     """Batch norm by the textbook formulas, as a float64 oracle."""
     if train:

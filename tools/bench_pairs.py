@@ -14,7 +14,10 @@ gives, per workload and end-to-end metric, each side's median and
 quartiles, and how many pairs the change won (by the metric's direction in
 BENCHMARK.json; ties count for neither side). A run that exits nonzero,
 prints no result or prints `"correct": false` is left out together with its
-pair, and counted per side under `failed_runs`.
+pair, and counted per side under `failed_runs`. A correct run may still have
+failed operations: each run keeps perfbench's `perfbench: <name>: <Type>:
+<message>` lines as `failed_op_lines`, and the summary sums the `failed` and
+`attempted` operations of each side's counted runs under `failed_ops`.
 
 Before each run a fresh process with OpenBLAS on one thread times the host:
 a 1024^3 float32 GEMM (GMAC/s) and a 64 MB copy (GB/s), best of 3 each. The
@@ -26,6 +29,7 @@ probe GMAC/s, a view that a change in the host's speed moves less.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -33,6 +37,8 @@ import numpy as np
 
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace T"
 SIDES = ("parent", "change")
+# what perfbench prints to stderr for an operation that raised
+FAILED_OP_LINE = re.compile(r"perfbench: \S+: \w+: ")
 PROBE = """
 import json, time
 import numpy as np
@@ -62,17 +68,20 @@ def seed_range(text):
 
 
 def run_one(checkout, workload, seed, seconds, trace):
+    """(return code, result or None, the lines of failed operations)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    return proc.returncode, result if isinstance(result, dict) else None
+    failed_ops = [line for line in proc.stderr.splitlines()
+                  if FAILED_OP_LINE.match(line)]
+    return proc.returncode, result if isinstance(result, dict) else None, failed_ops
 
 
 def probe():
@@ -113,8 +122,10 @@ def value(run, metric):
 def summary(runs, better):
     """Per workload: each metric's quartiles per side and the change's wins
     over the untraced pairs in which both sides succeeded, and the runs of
-    each side that did not; the probe's quartiles when every run of those
-    pairs has one."""
+    each side that did not; per side and counted run, `setup_s` and
+    `peak_rss_mb`; per side, the failed and attempted operations of the
+    counted runs; the probe's quartiles when every run of those pairs has
+    one."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if not r["trace"]):
         pairs = {}
@@ -140,8 +151,17 @@ def summary(runs, better):
             won = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
             wins[metric] = f"{won}/{len(pairs)}"
         row["change_wins"] = wins
-        row["setup_s_per_run"] = {side: [value(p[side], "setup_s") for p in pairs]
-                                  for side in SIDES}
+        for metric in ("setup_s", "peak_rss_mb"):
+            if metric in better:
+                row[f"{metric}_per_run"] = {
+                    side: [value(p[side], metric) for p in pairs] for side in SIDES}
+        row["failed_ops"] = {}
+        for side in SIDES:
+            failed = sum(p[side]["result"]["failed"] for p in pairs)
+            attempted = sum(p[side]["result"]["attempted"] for p in pairs)
+            row["failed_ops"][side] = {
+                "failed": failed, "attempted": attempted,
+                "share": failed / attempted if attempted else None}
         if not all(p[side].get("probe") for p in pairs for side in SIDES):
             continue
         for key in ("gemm_gmac_per_s", "copy_gb_per_s"):
@@ -183,14 +203,18 @@ def main(argv=None):
         for ran, side in enumerate(order, 1):
             checkout = args.parent_dir if side == "parent" else args.change_dir
             host_probe = probe()
-            code, result = run_one(checkout, workload, seed, args.seconds, trace)
+            # a stand-in for run_one may give only (code, result)
+            code, result, *failed_ops = run_one(checkout, workload, seed,
+                                                args.seconds, trace)
             doc["runs"].append({"workload": workload, "seed": seed, "trace": trace,
                                 "side": side, "ran": ran, "returncode": code,
-                                "result": result, "probe": host_probe})
+                                "result": result, "probe": host_probe,
+                                "failed_op_lines": failed_ops[0] if failed_ops else []})
             value = result["metrics"].get("audio_s_per_s", {}).get("value") if result else None
+            failed = result.get("failed") if result else None
             print(f"{workload} seed {seed} trace {trace} {side}: rc {code} "
-                  f"audio_s_per_s {value} probe {host_probe}", file=sys.stderr,
-                  flush=True)
+                  f"audio_s_per_s {value} failed ops {failed} probe {host_probe}",
+                  file=sys.stderr, flush=True)
         doc["summary"] = summary(doc["runs"], better)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
