@@ -4,6 +4,7 @@ the one place a noise signal is cut, for training and for noisy scoring.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +25,29 @@ class AugmentConfig:
                 raise ArgumentError(f"{name} range ({lo}, {hi}) is not finite")
             if lo > hi:
                 raise ArgumentError(f"{name} range is reversed")
+        for snr_db in self.snr_db_range:
+            snr_power_ratio(snr_db)
         if any(len(src) == 0 for src in self.noise_signals):
             raise ArgumentError("a noise signal has no samples")
 
 
+def snr_power_ratio(snr_db: float) -> float:
+    """10 ** (snr_db / 10), the signal-to-noise power ratio of snr_db.
+    ArgumentError when it is not a finite, positive float64: above about
+    3082.5 dB it overflows, below about -3236 dB it is 0."""
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ArgumentError(f"snr_db {snr_db} dB has no finite, positive "
+                            "power ratio")
+    return ratio
+
+
 def noise_gamma(p_sig: float, p_noise: float, snr_db: float) -> float:
     """Scale factor that puts the noise exactly snr_db below the signal."""
-    return float(np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0))))
+    return float(np.sqrt(p_sig / (p_noise * snr_power_ratio(snr_db))))
 
 
 def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:

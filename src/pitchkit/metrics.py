@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio_io import AudioBuffer, PitchContour, resample_linear
-from .augment import mix_at_snr, noise_excerpt
+from .augment import mix_at_snr, noise_excerpt, snr_power_ratio
 from .errors import (AlignmentError, ArgumentError, SkipExample,
                      UndefinedMetric)
 from .grid import cents_error
@@ -131,13 +131,15 @@ def evaluate_noisy(estimator, corpus, snr_db: float = 10.0, seed: int = 0,
     when the list is empty. A file is skipped when it is silent or when its
     metrics are undefined (e.g. no frame predicted voiced); UndefinedMetric
     is raised only when every file was skipped, counting both kinds and
-    quoting the last metric failure. A negative seed or a
-    non-finite snr_db raises ArgumentError.
+    quoting the last metric failure. A negative seed, or an snr_db that is
+    not finite or whose power ratio 10 ** (snr_db / 10) is not a finite,
+    positive float64, raises ArgumentError.
     """
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     if not np.isfinite(snr_db):
         raise ArgumentError(f"snr_db must be finite, got {snr_db}")
+    snr_power_ratio(snr_db)
     if noise_signals and any(len(src) == 0 for src in noise_signals):
         raise ArgumentError("a noise signal has no samples")
     rng = np.random.default_rng(seed)

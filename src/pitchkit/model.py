@@ -102,6 +102,14 @@ HALO = (len(CHANNEL_PLAN) - 1) * PAD
 # rows (about 1.5 MB at 96 channels) stays in cache across the 25 taps,
 # where whole-grid operands are read from memory once per tap
 ROW_BLOCK = 4096
+# c_in * c_out from which `_conv_shifted_taps` runs each half of the output
+# frequency rows as its own GEMM stack. On one thread, layer 3's
+# (132, 160) @ (160, 64) stack ran at 41-44 GMAC/s and one of 66 rows at
+# about 62; the split took its forward at 148 frames from 28.0-32.4 to
+# 20.5-25.7 ms and its dx at 8 x 28 frames from 47.9-49.8 to 37.0-39.9 ms.
+# Layers 1-2 ran slower under any split (5.5 -> 6.3-6.7 ms and 1.8 -> 2.3-2.4
+# ms), so only layer 3's forward (32 -> 64) and dx (64 -> 32) reach this.
+SPLIT_CHANNELS = 2048
 
 
 @dataclass
@@ -226,9 +234,16 @@ def _conv_shifted_taps(x, w, bias):
     win = sliding_window_view(xp, KERNEL, axis=1).transpose(0, 1, 3, 4, 2)
     win = win.reshape(b, t, f + 2 * PAD, KERNEL * c_in)
     wj = w.transpose(3, 2, 1, 0).reshape(KERNEL, KERNEL * c_in, len(w))
-    out = win[:, :, :f] @ wj[0]
-    for j in range(1, KERNEL):
-        out += win[:, :, j:j + f] @ wj[j]
+    # a one-row half would run as a vector-matrix product, whose sums differ
+    # from the GEMM's
+    parts = 2 if c_in * len(w) >= SPLIT_CHANNELS and f >= 4 else 1
+    out = np.empty((b, t, f, len(w)), dtype=np.result_type(x, w))
+    edges = [f * k // parts for k in range(parts + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        rows = out[:, :, lo:hi]
+        np.matmul(win[:, :, lo:hi], wj[0], out=rows)
+        for j in range(1, KERNEL):
+            rows += win[:, :, lo + j:hi + j] @ wj[j]
     out += bias
     return out
 

@@ -22,23 +22,29 @@ def medians(parent, change):
 
 
 def test_table_orders_files_by_pr_number_and_marks_missing_metrics(tmp_path):
+    tool = _tool()
     (tmp_path / "BENCH_12.json").write_text(json.dumps({"summary": {
         "clips": {"pairs": 10, "setup_s": medians(2e-4, 1e-4),
-                  "audio_s_per_s": medians(60.0, 66.5)},
+                  "audio_s_per_s": medians(60.0, 66.5),
+                  "failed_ops": {
+                      "parent": {"failed": 0, "attempted": 40, "share": 0.0},
+                      "change": {"failed": 1, "attempted": 40,
+                                 "share": 0.025}}},
         "long": {"pairs": 0, "failed_runs": {"parent": 1, "change": 1}}}}))
     (tmp_path / "BENCH_3.json").write_text(json.dumps({"summary": {
         "train": {"audio_s_per_s": medians(5.0, 9.25)}}}))
-    text = _tool().table(sorted(tmp_path.glob("BENCH_*.json")),
-                         ["setup_s", "audio_s_per_s"])
+    text = tool.table(sorted(tmp_path.glob("BENCH_*.json")),
+                      ["setup_s", "audio_s_per_s", tool.FAILED_OPS])
     header = [line for line in text.splitlines() if line.startswith("#")]
     assert "compare speed only inside one file" in " ".join(header)
     rows = [line.split() for line in text.splitlines()
             if not line.startswith("#")]
     assert rows == [
-        ["file", "workload", "setup_s", "audio_s_per_s"],
-        ["BENCH_3.json", "train", "-", "5", "->", "9.25"],
-        ["BENCH_12.json", "clips", "0.0002", "->", "0.0001", "60", "->", "66.5"],
-        ["BENCH_12.json", "long", "-", "-"],
+        ["file", "workload", "setup_s", "audio_s_per_s", "failed_ops_share"],
+        ["BENCH_3.json", "train", "-", "5", "->", "9.25", "-"],
+        ["BENCH_12.json", "clips", "0.0002", "->", "0.0001", "60", "->", "66.5",
+         "0", "->", "0.025"],
+        ["BENCH_12.json", "long", "-", "-", "-"],
     ]
 
 
@@ -48,8 +54,12 @@ def test_committed_history_prints(capsys):
     assert "BENCH_9.json" in out and "audio_s_per_s" in out
     lines = out.splitlines()
     header = next(line.split() for line in lines if line.startswith("file"))
-    assert header[-2:] == ["probe_gemm_gmac_per_s", "probe_copy_gb_per_s"]
-    # files from before the probe have no probe medians
+    assert header[-3:] == ["probe_gemm_gmac_per_s", "probe_copy_gb_per_s",
+                           "failed_ops_share"]
+    # files from before the probe have no probe medians, and no failed_ops
     for name in ("BENCH_9.json", "BENCH_27.json"):
         rows = [line.split() for line in lines if line.startswith(name)]
-        assert rows and all(row[-2:] == ["-", "-"] for row in rows)
+        assert rows and all(row[-3:] == ["-", "-", "-"] for row in rows)
+    # BENCH_30.json counted no failed operation on either side
+    rows = [line.split() for line in lines if line.startswith("BENCH_30.json")]
+    assert len(rows) == 3 and all(row[-3:] == ["0", "->", "0"] for row in rows)

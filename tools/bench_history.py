@@ -5,8 +5,10 @@
 One row per file (by the number in its name) and workload; one column per
 end-to-end metric of BENCHMARK.json, in its order, then the host probe's
 medians that tools/bench_pairs.py records, each cell the parent's median ->
-the change's. A cell is `-` where a file has no median for the metric (files
-from before the probe have none for it). The files are only read.
+the change's, then each side's share of failed operations (`failed_ops`),
+parent -> change. A cell is `-` where a file has no figure for the column
+(files from before the probe, or before `failed_ops`, have none for it). The
+files are only read.
 """
 import argparse
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBE_COLUMNS = ["probe_gemm_gmac_per_s", "probe_copy_gb_per_s"]
+FAILED_OPS = "failed_ops_share"
 HEADER = ("# Medians, parent -> change. The host's speed drifts over time "
           "(ROADMAP.md, \"This host\"):\n# compare speed only inside one "
           "file, never down a column.")
@@ -25,9 +28,11 @@ def file_number(path):
     return int(re.search(r"BENCH_(\d+)\.json$", str(path)).group(1))
 
 
-def cell(row, metric):
+def cell(row, column):
+    key, figure = (("failed_ops", "share") if column == FAILED_OPS
+                   else (column, "median"))
     try:
-        parent, change = (row[metric][side]["median"]
+        parent, change = (row[key][side][figure]
                           for side in ("parent", "change"))
     except KeyError:
         return "-"
@@ -51,7 +56,8 @@ def table(paths, metrics):
 def main(argv=None):
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [m["name"] for m in benchmark["end_to_end"]] + PROBE_COLUMNS
+    metrics = ([m["name"] for m in benchmark["end_to_end"]] + PROBE_COLUMNS
+               + [FAILED_OPS])
     print(table(ROOT.glob("BENCH_*.json"), metrics))
     return 0
 
