@@ -17,7 +17,12 @@ so that every layer runs as a few large BLAS calls:
   before frequency: output row r reads padded rows r..r+4, a view that is an
   (f + 4, 5 * c_in) matrix per row, and takes one GEMM per tap column j with
   K = 5 * c_in over its rows j..j+f; 25 shifted-tap matmuls with K = c_in
-  ran far below BLAS speed, and no patch matrix is copied.
+  ran far below BLAS speed, and no patch matrix is copied. When c_in * c_out
+  reaches SPLIT_CHANNELS, which only layer 3's forward (32 -> 64) and its dx
+  (64 -> 32) do, each half of the f output rows is its own stack of GEMMs,
+  written in place, with the same bits: on a 2-CPU AVX-512 Xeon with
+  OpenBLAS 0.3.31, stacks of layer 3's size ran faster on half the rows, and
+  why is not measured.
 
 The backward pass reuses these kernels. dx of a layer is the forward conv of
 its output gradient with the spatially flipped, channel-transposed kernel,
@@ -225,7 +230,14 @@ def _conv_tap_maps(x, w, bias):
 def _conv_shifted_taps(x, w, bias):
     """Five batched matmuls over a row window of the zero-padded input, one
     per tap column j, each with K = 5 * c_in: out[r] = bias +
-    sum_j win[r, j:j + f] @ wj[j]."""
+    sum_j win[r, j:j + f] @ wj[j].
+
+    When c_in * c_out >= SPLIT_CHANNELS, the f frequency positions of every
+    output row are cut at f // 2 into two such stacks, with M = f // 2 and
+    f - f // 2 GEMM rows, each written into its part of `out`. Every element
+    is the same sum in the same order, so the bits do not change;
+    layer-3-sized stacks ran faster on half the rows (see SPLIT_CHANNELS),
+    for a cause that is not measured."""
     b, t, f, c_in = x.shape
     xp = np.zeros((b, t + 2 * PAD, c_in, f + 2 * PAD), dtype=x.dtype)
     xp[:, PAD:PAD + t, :, PAD:PAD + f] = x.transpose(0, 1, 3, 2)

@@ -90,10 +90,23 @@ def test_gaussian_fallback_without_sources():
 
 @pytest.mark.parametrize("kwargs", [{"gain_db_range": (np.nan, 6.0)},
                                     {"snr_db_range": (10.0, np.inf)},
-                                    {"noise_signals": [np.zeros(0)]}])
+                                    {"noise_signals": [np.zeros(0)]},
+                                    # 10 ** (snr / 10) overflows or is 0
+                                    {"snr_db_range": (10.0, 4000.0)},
+                                    {"snr_db_range": (-4000.0, 10.0)},
+                                    {"snr_db_range": (0.0, 1e308)}])
 def test_unusable_augment_config_rejected(kwargs):
     with pytest.raises(ArgumentError):
         AugmentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("snr_db", [-3000.0, -20.0, 0.0, 7.3, 10.0, 30.0,
+                                    200.0, 3000.0])
+def test_noise_gamma_arithmetic_unchanged(snr_db):
+    # training draws and criterion 10's hashes rest on these bits
+    p_sig, p_noise = 0.0123, 0.987
+    assert noise_gamma(p_sig, p_noise, snr_db) == float(
+        np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0))))
 
 
 def test_mix_at_snr_zero_noise_passthrough():

@@ -458,6 +458,20 @@ def test_noisy_non_finite_snr_exits_1(workdir, capsys, snr):
     assert "snr_db must be finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000", "1e308"])
+def test_noisy_snr_without_a_power_ratio_exits_1(workdir, capsys, snr):
+    # 10 ** (snr / 10) overflows, or is 0, as a float64
+    out = workdir / "never_report.csv"
+    rc = main(["noisy", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+               str(workdir / "tone.csv"), f"--snr={snr}", "--threshold", "0",
+               "--out-csv", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "power ratio" in lines[0]
+
+
 def test_noisy_silent_wav_says_why_nothing_was_scored(workdir, capsys):
     silent = workdir / "silent.wav"
     write_wav(AudioBuffer(np.zeros(16000), 16000), silent)

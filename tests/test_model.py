@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pitchkit import model as net
 from pitchkit.audio_io import AudioBuffer
@@ -285,6 +286,49 @@ def test_shifted_taps_batch_elements_match_single_calls(layer, dtype, t):
         assert np.array_equal(out[k], net._conv_forward(x[k:k + 1], w, bias)[0])
         assert np.array_equal(dx[k], net._conv_backward(x[k:k + 1], w,
                                                          d[k:k + 1])[0][0])
+
+
+def unsplit_shifted_taps(x, w, bias):
+    """The row-window product over all f output rows at once: win @ wj[0],
+    then += of the other four tap columns, then the bias."""
+    b, t, f, c_in = x.shape
+    k, pad = net.KERNEL, net.PAD
+    xp = np.zeros((b, t + 2 * pad, c_in, f + 2 * pad), dtype=x.dtype)
+    xp[:, pad:pad + t, :, pad:pad + f] = x.transpose(0, 1, 3, 2)
+    win = sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 4, 2)
+    win = win.reshape(b, t, f + 2 * pad, k * c_in)
+    wj = w.transpose(3, 2, 1, 0).reshape(k, k * c_in, len(w))
+    out = win[:, :, :f] @ wj[0]
+    for j in range(1, k):
+        out += win[:, :, j:j + f] @ wj[j]
+    out += bias
+    return out
+
+
+@pytest.mark.parametrize("f", [132, 21, 4, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("path", ["forward", "dx"])
+def test_layer3_halves_match_the_unsplit_product(path, dtype, f):
+    # layer 3's forward (32 -> 64) and dx (64 -> 32) run each half of the
+    # output rows as its own GEMM stack; every row keeps its bits. At f = 3
+    # a half would be one row, a vector-matrix product, so f = 3 runs whole.
+    rng = np.random.default_rng(30)
+    c_in, c_out = net.CHANNEL_PLAN[3], net.CHANNEL_PLAN[4]
+    assert c_in * c_out >= net.SPLIT_CHANNELS
+    x = rng.standard_normal((2, 5, f, c_in)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, net.KERNEL, net.KERNEL)).astype(dtype)
+    if path == "forward":
+        bias = rng.standard_normal(c_out).astype(dtype)
+        got = net._conv_forward(x, w, bias)
+        expected = unsplit_shifted_taps(x, w, bias)
+    else:
+        d = rng.standard_normal((2, 5, f, c_out)).astype(dtype)
+        got = net._conv_backward(x, w, d)[0]
+        expected = unsplit_shifted_taps(
+            d, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+            np.zeros(c_in, dtype=dtype))
+    assert got.dtype == dtype and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
 
 
 def test_shifted_taps_make_no_window_copy():
