@@ -12,12 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, FormatError
+from .grid import F_MAX_HZ
 
 # the rate and frame hop the model was built for; every other rate is
 # resampled to CANONICAL_SR, and contours step HOP_SECONDS (16 ms)
 CANONICAL_SR = 16000
 HOP = 256
 HOP_SECONDS = HOP / CANONICAL_SR
+# the lowest rate resample_linear takes: its Nyquist frequency is the top
+# of the pitch grid
+MIN_SR = 2 * F_MAX_HZ
 
 
 @dataclass
@@ -143,7 +147,13 @@ def write_wav(buf: AudioBuffer, path, dtype: str = "pcm16") -> None:
 
 def resample_linear(buf: AudioBuffer) -> AudioBuffer:
     """Linearly resample to CANONICAL_SR; returns buf itself when it is
-    already at CANONICAL_SR."""
+    already at CANONICAL_SR. A rate below MIN_SR is refused before anything
+    is allocated: upsampling a long file from, say, 1 Hz would need
+    gigabytes."""
+    if buf.sample_rate_hz < MIN_SR:
+        raise ArgumentError(
+            f"sample rate {buf.sample_rate_hz} Hz is below {MIN_SR} Hz, too "
+            f"low to carry the top of the pitch grid ({F_MAX_HZ} Hz)")
     if buf.sample_rate_hz == CANONICAL_SR:
         return buf
     if len(buf.samples) == 0:

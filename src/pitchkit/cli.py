@@ -6,9 +6,10 @@ scores the model on a WAV under noise, and a clean WAV is scored by
 
 stdout carries results, stderr carries diagnostics. The subcommands raise;
 `main` alone turns a failure into an exit code through EXIT_CODES: 0 ok,
-1 generic failure, 2 a file that is missing, invalid or cannot be read or
-written (argparse also exits 2 on a usage error), 3 training divergence,
-4 contour alignment failure, 5 synthesis range error.
+1 generic failure (running out of memory included), 2 a file that is
+missing, invalid or cannot be read or written (argparse also exits 2 on a
+usage error), 3 training divergence, 4 contour alignment failure, 5
+synthesis range error.
 """
 from __future__ import annotations
 
@@ -25,11 +26,10 @@ from .augment import AugmentConfig
 from .audio_io import (read_contour_csv, read_wav, resample_linear,
                        write_contour_csv, write_wav)
 from .decode import DecoderConfig, decode_contour
-from .dsp import spectrogram
 from .errors import (AlignmentError, ArgumentError, DivergenceError,
                      FormatError, PitchkitError, RangeError)
 from .metrics import EvalReport, evaluate, evaluate_noisy
-from .pipeline import analyze
+from .pipeline import analyze, front_end
 from .synth import random_spec, synth_example
 from .train import SKIP_REASONS, TrainConfig, train_loop
 
@@ -41,6 +41,7 @@ EXIT_CODES = (
     (AlignmentError, 4, "alignment failure"),
     (RangeError, 5, "synthesis range error"),
     (PitchkitError, 1, "error"),
+    (MemoryError, 1, "error"),
 )
 
 
@@ -183,9 +184,9 @@ def cmd_synth(args):
 
 
 def cmd_bench(args):
-    """Time `analyze` stage by stage: resampling and spectrogram (stft), the
-    network (forward) and the decoder, the first two under the same OpenBLAS
-    hold as in `analyze`."""
+    """Time the three calls `analyze` is made of: `front_end` (stft:
+    resampling and spectrogram), `model.forward` (forward) and
+    `decode_contour` (decode)."""
     if args.repeats < 1:
         raise ArgumentError(f"--repeats must be >= 1, got {args.repeats}")
     params = net.load_params(args.weights)
@@ -193,10 +194,9 @@ def cmd_bench(args):
     stages = np.empty((args.repeats, 3))  # stft, forward, decode seconds
     for stage in stages:
         t0 = time.perf_counter()
-        with net.one_blas_thread():
-            spec = spectrogram(resample_linear(buf))
-            t1 = time.perf_counter()
-            logits = net.forward(params, spec)
+        spec = front_end(buf)
+        t1 = time.perf_counter()
+        logits = net.forward(params, spec)
         t2 = time.perf_counter()
         decode_contour(logits, DecoderConfig())
         stage[:] = t1 - t0, t2 - t1, time.perf_counter() - t2

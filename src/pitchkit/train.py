@@ -163,8 +163,10 @@ def train_loop(corpus, cfg: TrainConfig, params: net.ModelParams = None,
                 continue
             f0 = np.stack(f0s)
             mask = np.stack(masks)
-            # as in analyze: OpenBLAS's own threads would queue behind the
-            # network's two, and spin on after the front-end's GEMMs
+            # one hold for the whole step, where analyze takes one for the
+            # front end and one for the network: OpenBLAS's own threads
+            # would queue behind the network's two, and spin on after the
+            # front-end's GEMMs
             with net.one_blas_thread():
                 spec = batch_spectrogram(np.stack(segs))
                 logits, cache = net.forward_batch(params, spec, train=True)

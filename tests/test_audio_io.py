@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pitchkit.audio_io import (AudioBuffer, PitchContour, read_contour_csv,
-                               read_wav, resample_linear, write_contour_csv,
-                               write_wav)
+from pitchkit.audio_io import (MIN_SR, AudioBuffer, PitchContour,
+                               read_contour_csv, read_wav, resample_linear,
+                               write_contour_csv, write_wav)
 from pitchkit.errors import ArgumentError, FormatError
+from pitchkit.grid import F_MAX_HZ
 
 
 def test_read_wav_zero_signal(tmp_path):
@@ -106,6 +107,24 @@ def test_resample_sine_accuracy():
     ref = np.sin(2 * np.pi * 100 * t16)
     rms = np.sqrt(np.mean((out.samples - ref) ** 2))
     assert rms < 1e-3
+
+
+@pytest.mark.parametrize("rate", [1, 4187, 4187.4])
+def test_resample_refuses_rate_below_floor(monkeypatch, rate):
+    buf = AudioBuffer(np.zeros(400_000), rate)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before checking the rate")
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(ArgumentError, match="below 4187.5 Hz"):
+        resample_linear(buf)
+
+
+@pytest.mark.parametrize("rate", [MIN_SR, 4188, 8000])
+def test_resample_takes_rate_at_floor(rate):
+    assert MIN_SR == 2 * F_MAX_HZ == 4187.5
+    out = resample_linear(AudioBuffer(np.full(800, 0.5), rate))
+    assert out.sample_rate_hz == 16000 and np.allclose(out.samples, 0.5)
 
 
 def test_resample_duration_preserved():

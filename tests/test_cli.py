@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitchkit import model as net
+from pitchkit import model as net, pipeline
 from pitchkit.audio_io import (AudioBuffer, read_contour_csv, read_wav,
                                resample_linear, write_contour_csv, write_wav)
 from pitchkit.cli import EXIT_CODES, _load_noise, build_parser, main
+from pitchkit.errors import FormatError
 from pitchkit.metrics import evaluate_noisy
 from pitchkit.synth import SynthSpec, random_spec, synth_example
 
@@ -532,10 +533,13 @@ def test_bench_zero_repeats(workdir, capsys):
 
 
 @pytest.mark.parametrize("case, code", [("short_16k", 1), ("empty_44k", 1),
-                                        ("truncated_weights", 2)])
-def test_bench_fails_as_analyze_does(workdir, capsys, case, code):
-    # bench keeps its own copy of analyze's stages, so each check of
-    # analyze's input has to fail bench with the same exit code and line
+                                        ("truncated_weights", 2),
+                                        ("front_end_fails", 2)])
+def test_bench_fails_as_analyze_does(workdir, capsys, monkeypatch, case,
+                                     code):
+    # bench times the very stages analyze is made of, so whatever fails in
+    # them, a check of the input included, fails bench with the same exit
+    # code and line
     wav, weights = workdir / "tone.wav", workdir / "w.bin"
     if case == "short_16k":  # shorter than one window
         wav = workdir / "short.wav"
@@ -543,6 +547,10 @@ def test_bench_fails_as_analyze_does(workdir, capsys, case, code):
     elif case == "empty_44k":
         wav = workdir / "empty.wav"
         write_wav(AudioBuffer(np.zeros(0), 44100), wav)
+    elif case == "front_end_fails":
+        def fail(buf):
+            raise FormatError("the front end refuses this buffer")
+        monkeypatch.setattr(pipeline, "spectrogram", fail)
     else:
         weights = workdir / "truncated.bin"
         weights.write_bytes((workdir / "w.bin").read_bytes()[:100])
@@ -681,3 +689,37 @@ def test_eval_acf_contour_with_non_positive_f0(workdir, capsys):
     capsys.readouterr()
     assert main(["eval", str(acf), str(workdir / "glide.csv")]) == 0
     assert "hm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["analyze", "acf"])
+def test_rate_below_floor_exits_1(workdir, capsys, command):
+    # 100 samples at 1 Hz would resample to 1.6 million; a full-length
+    # file at this rate would ask for gigabytes
+    wav = workdir / "one_hz.wav"
+    write_wav(AudioBuffer(np.full(100, 0.1), 1), wav)
+    out = workdir / "never_one_hz.csv"
+    args = {"analyze": ["analyze", str(wav), str(workdir / "w.bin"), str(out)],
+            "acf": ["acf", str(wav), str(out)]}
+    assert main(args[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sample rate 1 Hz is below")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "synth"])
+def test_memory_error_exits_1(workdir, capsys, monkeypatch, command):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 119. GiB for an array")
+    out = workdir / f"never_{command}"
+    if command == "analyze":
+        monkeypatch.setattr(pipeline, "spectrogram", out_of_memory)
+        argv = ["analyze", str(workdir / "tone.wav"), str(workdir / "w.bin"),
+                str(out)]
+    else:
+        monkeypatch.setattr("pitchkit.cli.random_spec", out_of_memory)
+        argv = ["synth", str(out), "--count", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 119. GiB for an array\n"
+    assert captured.out == "" and not out.exists()
