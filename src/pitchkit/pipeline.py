@@ -16,8 +16,8 @@ from .dsp import spectrogram
 
 
 def front_end(buf: AudioBuffer) -> np.ndarray:
-    """The (T, 132) spectrogram of a buffer at any sample rate, resampled to
-    CANONICAL_SR first.
+    """The (T, 132) spectrogram of a buffer at any sample rate from MIN_SR
+    (4187.5 Hz) up, resampled to CANONICAL_SR first.
 
     The spectrogram runs with OpenBLAS held at one thread: a helper thread
     OpenBLAS left spinning after the spectrogram's GEMMs would take the
@@ -29,7 +29,8 @@ def front_end(buf: AudioBuffer) -> np.ndarray:
 
 def analyze(buf: AudioBuffer, params: net.ModelParams,
             dec_cfg: DecoderConfig | None = None) -> PitchContour:
-    """Estimate the pitch contour of an audio buffer at any sample rate.
+    """Estimate the pitch contour of an audio buffer at any sample rate from
+    MIN_SR up.
     Raises FormatError when the logits are not all finite, as weights
     holding a NaN or an infinity give (`model.forward`)."""
     return decode_contour(net.forward(params, front_end(buf)),
